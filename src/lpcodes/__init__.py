@@ -7,6 +7,7 @@ from .errors import (
     LimitExceededError,
     LpCodesError,
     SingularMatrixError,
+    VerificationError,
 )
 
 __all__ = [
@@ -15,6 +16,7 @@ __all__ = [
     "LimitExceededError",
     "LpCodesError",
     "SingularMatrixError",
+    "VerificationError",
 ]
 
 __version__ = "0.1.0"

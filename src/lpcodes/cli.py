@@ -39,8 +39,11 @@ from .families import (
 from .search import (
     CSV_FIELDS,
     SearchQuery,
+    _SIEVES,
     analysis_display,
     compact_basis,
+    fraction_str,
+    jobs_from_env,
     report_csv_rows,
     report_to_dict,
     run_search,
@@ -148,8 +151,16 @@ def _cmd_search(args: argparse.Namespace) -> str:
             dedupe=not args.no_dedupe,
         )
     except ValueError as exc:
+        if args.dim not in _SIEVES:
+            raise CliError(f"--dim: {exc}")
         raise CliError(f"--min-volume/--max-volume/--t-max: {exc}")
-    report = run_search(query, jobs=args.jobs, checkpoint=args.checkpoint)
+    jobs = args.jobs
+    if jobs is None:
+        try:
+            jobs = jobs_from_env()
+        except ValueError as exc:
+            raise CliError(str(exc))
+    report = run_search(query, jobs=jobs, checkpoint=args.checkpoint)
     if args.format == "json":
         return _json_text(report_to_dict(report))
     return _csv_text(CSV_FIELDS, report_csv_rows(report))
@@ -187,10 +198,6 @@ def _cmd_distset(args: argparse.Namespace) -> str:
 # ----------------------------------------------------------------- family
 
 
-def _fraction_str(fr: Fraction) -> str:
-    return f"{fr.numerator}/{fr.denominator}"
-
-
 def _cmd_family(args: argparse.Namespace) -> str:
     r = parse_rational(args.r, "--r")
     try:
@@ -204,7 +211,7 @@ def _cmd_family(args: argparse.Namespace) -> str:
         "basis": [list(row) for row in spec.basis],
         "det": spec.det,
         "predicted_t": spec.predicted_t,
-        "predicted_disc_density": _fraction_str(spec.predicted_disc_density),
+        "predicted_disc_density": fraction_str(spec.predicted_disc_density),
     }
     if args.verify:
         a = analyze(spec.basis, spec.p)

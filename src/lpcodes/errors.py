@@ -24,3 +24,9 @@ class DimensionUnsupportedError(LpCodesError):
 class HypothesisViolatedError(LpCodesError):
     """A family constructor was called with parameters outside its
     admissible region.  The message names the failing inequality."""
+
+
+class VerificationError(LpCodesError):
+    """A search result failed its re-proof: the full analysis disagreed
+    with the verdict that selected it.  This signals a program fault,
+    never bad input."""

@@ -4,13 +4,14 @@ For each volume M the packing radius of any surviving code is forced:
 s_r = max{s in D : mu(s) <= M}.  A code passes the injectivity test at
 s_r exactly when no nonzero difference of two ball points lies in the
 lattice, so instead of labeling every ball point for every candidate
-basis, the difference set is computed once per (n, p, s_r) and each
-difference is turned into a congruence constraint on the Hermite normal
-form entries.  Marking those constraints on the entry grid eliminates
-almost all of the d2 * d3^2 candidates per volume without constructing
-them.  Survivors then face the covering test at the successor radius
-(quasi-perfect) or the exact-count check (perfect), and every reported
-hit is re-verified by the full per-lattice analysis.
+basis, the difference set is computed once per (n, p, s_r) and sieved
+against the Hermite normal form entries: per diagonal, column by column,
+each difference left in the lattice by the earlier columns becomes one
+linear congruence on the next column's entries.  The losing candidates
+are never constructed, and one sieve serves every n <= 4.  Survivors
+then face the covering test at the successor radius (quasi-perfect) or
+the exact-count check (perfect), and every reported hit is re-proved by
+the full per-lattice analysis, which raises VerificationError if not.
 
 Volumes are independent, so the search parallelizes over them; results
 are merged in volume order and finally sorted, making reports identical
@@ -23,16 +24,20 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
-from math import gcd
-from typing import Callable, Iterator, Sequence
+from itertools import product
+from math import prod
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
 from .analysis import CodeAnalysis, analyze, labels_are_distinct
 from .balls import ball_points, mu, successor
+from .errors import VerificationError
 from .lattices import (
     Basis,
+    _ordered_factorizations,
     canonical_form,
     coset_label,
     det,
@@ -102,163 +107,93 @@ def _ball_diffs(n: int, p: int, s: int) -> np.ndarray:
     return out
 
 
-def _factor_pairs(volume: int) -> Iterator[tuple[int, int]]:
-    for d1 in range(1, volume + 1):
-        if volume % d1 == 0:
-            yield d1, volume // d1
+_CHUNK = 1 << 12
+"""Most (difference, column entry) pairs one sieve step holds at once, so
+its temporaries stay small however many differences are live."""
 
 
-def _stride_classes(
-    cr: np.ndarray, vr: np.ndarray, modulus: int
-) -> Iterator[tuple[int, int]]:
-    """Solve cr * a == vr (mod modulus) for each unique residue pair,
-    yielding (start, step) arithmetic progressions of solutions a."""
-    codes = np.unique(cr * modulus + vr)
-    for code in codes.tolist():
-        c, v = divmod(code, modulus)
-        g = gcd(c, modulus)
-        if v % g:
+def _gcd_inverse(c: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise g = gcd(c, d) and s with s * c == g (mod d), by the
+    extended Euclidean algorithm run on whole arrays."""
+    r0, r1 = c % d, np.full_like(c, d)
+    s0, s1 = np.ones_like(c), np.zeros_like(c)
+    while r1.any():
+        go = r1 != 0
+        q = r0 // np.where(go, r1, 1)
+        r0, r1 = np.where(go, r1, r0), np.where(go, r0 - q * r1, 0)
+        s0, s1 = np.where(go, s1, s0), np.where(go, s0 - q * s1, 0)
+    return r0, s0
+
+
+def _sieve_column(
+    bad: np.ndarray, diag: tuple[int, ...], j: int, rows: np.ndarray
+) -> None:
+    """Mark in `bad` every candidate that contains a difference in `rows`.
+
+    A row [branch, c_0..c_{j-1}, v_j..v_{n-1}] says that the difference v
+    agrees with sum_{i<j} c_i * row_i in its first j coordinates for the
+    candidates whose entries in columns < j are the digits of `branch`
+    (column k adds k digits of radix d_k, row 0 first).  Column j needs
+    t = v_j - sum_{i<j} c_i * a_ij to be a multiple of d_j: a_0j..a_{j-2,j}
+    are enumerated, a_{j-1,j} is solved for, and each solution carries
+    the row on with c_j = t / d_j, or is marked at the last column.
+    """
+    if j == len(diag):  # n = 1: no column to walk
+        bad[rows[:, 0]] = True
+        return
+    d = diag[j]
+    entries = np.array(list(product(range(d), repeat=j - 1)), dtype=np.int64)
+    per = len(entries)
+    size = max(1, _CHUNK // per)
+    g_all, inv_all = _gcd_inverse(rows[:, j], d)
+    for lo in range(0, len(rows), size):
+        chunk = rows[lo : lo + size]
+        g, inv = g_all[lo : lo + size], inv_all[lo : lo + size]
+        c = chunk[:, 1 : j + 1]
+        t = chunk[:, j + 1, None] - c[:, :-1] @ entries.T
+        r, e = np.nonzero(t % g[:, None] == 0)
+        # c_{j-1} * a == t (mod d) holds for the g[r] values
+        # a = start + k * step with step = d / g[r].
+        reps = g[r]
+        r, e = np.repeat(r, reps), np.repeat(e, reps)
+        k = np.arange(len(r)) - np.repeat(np.cumsum(reps) - reps, reps)
+        step = d // g[r]
+        a = inv[r] * (t[r, e] // g[r]) % step + k * step
+        branch = (chunk[r, 0] * per + e) * d + a
+        if j + 1 == len(diag):
+            bad[branch] = True
             continue
-        step = modulus // g
-        start = (pow(c // g, -1, step) * (v // g)) % step
-        yield start, step
+        nxt = chunk[r]
+        nxt[:, 0] = branch
+        nxt[:, j + 1] = (t[r, e] - c[r, -1] * a) // d
+        _sieve_column(bad, diag, j + 1, nxt)
 
 
-def _survivors_1d(volume: int, diffs: np.ndarray) -> Iterator[Basis]:
-    if not (diffs[:, 0] % volume == 0).any():
-        yield ((volume,),)
+def _basis_at(index: int, diag: tuple[int, ...]) -> Basis:
+    """The HNF basis whose above-diagonal entries are the mixed-radix
+    digits of `index` (see _sieve_column)."""
+    rows = [[0] * len(diag) for _ in diag]
+    for j in range(len(diag) - 1, -1, -1):
+        rows[j][j] = diag[j]
+        for i in range(j - 1, -1, -1):
+            index, rows[i][j] = divmod(index, diag[j])
+    return tuple(tuple(row) for row in rows)
 
 
-def _survivors_2d(volume: int, diffs: np.ndarray) -> Iterator[Basis]:
-    x, y = diffs[:, 0], diffs[:, 1]
-    for d1, d2 in _factor_pairs(volume):
-        m = x % d1 == 0
-        bad = np.zeros(d2, dtype=bool)
-        if m.any():
-            c1 = (x[m] // d1) % d2
-            yr = y[m] % d2
-            for start, step in _stride_classes(c1, yr, d2):
-                bad[start::step] = True
-                if step == 1:
-                    break
-        for a12 in np.flatnonzero(~bad).tolist():
-            yield ((d1, int(a12)), (0, d2))
+def _survivors(volume: int, diffs: np.ndarray) -> Iterator[Basis]:
+    """Every HNF basis of index `volume` whose lattice contains none of
+    `diffs`, once each: by diagonal, then by mixed-radix entry index."""
+    for diag in _ordered_factorizations(volume, diffs.shape[1]):
+        bad = np.zeros(prod(d**j for j, d in enumerate(diag)), dtype=bool)
+        rows = np.insert(diffs[diffs[:, 0] % diag[0] == 0], 0, 0, axis=1)
+        rows[:, 1] //= diag[0]
+        _sieve_column(bad, diag, 1, rows)
+        for index in np.flatnonzero(~bad).tolist():
+            yield _basis_at(index, diag)
 
 
-def _mark_line(grid: np.ndarray, s: int, t: int, w: int, d3: int) -> bool:
-    """Mark the solutions of s*a13 + t*a23 == w (mod d3) on grid; returns
-    True when the whole grid became bad (caller may stop early)."""
-    if s == 0 and t == 0:
-        if w == 0:
-            grid[:, :] = True
-            return True
-        return False
-    if t == 0:
-        g = gcd(s, d3)
-        if w % g:
-            return False
-        step = d3 // g
-        start = (pow(s // g, -1, step) * (w // g)) % step
-        grid[start::step, :] = True
-        return bool(step == 1)
-    g = gcd(t, d3)
-    step = d3 // g
-    inv = pow(t // g, -1, step)
-    a13 = np.arange(d3, dtype=np.int64)
-    rhs = (w - s * a13) % d3
-    ok = rhs % g == 0
-    if not ok.any():
-        return False
-    base = (inv * (rhs[ok] // g)) % step
-    rows = a13[ok]
-    for j in range(g):
-        grid[rows, base + j * step] = True
-    return False
-
-
-def _survivors_3d(volume: int, diffs: np.ndarray) -> Iterator[Basis]:
-    x, y, z = diffs[:, 0], diffs[:, 1], diffs[:, 2]
-    for d1, rest in _factor_pairs(volume):
-        m = x % d1 == 0
-        c1_all, y_all, z_all = x[m] // d1, y[m], z[m]
-        for d2, d3 in _factor_pairs(rest):
-            if not len(c1_all):
-                for a12 in range(d2):
-                    for a13 in range(d3):
-                        for a23 in range(d3):
-                            yield ((d1, a12, a13), (0, d2, a23), (0, 0, d3))
-                continue
-            c1r = c1_all % d2
-            yr = y_all % d2
-            # Solvability of c1*a12 == y (mod d2) depends only on the
-            # residues, so solve once per residue class and fan the
-            # (start, step) progression back out to the actual vectors.
-            codes = c1r * d2 + yr
-            uniq, inverse = np.unique(codes, return_inverse=True)
-            starts = np.full(len(uniq), -1, dtype=np.int64)
-            steps = np.zeros(len(uniq), dtype=np.int64)
-            for k, code in enumerate(uniq.tolist()):
-                c, v = divmod(code, d2)
-                g = gcd(c, d2)
-                if v % g:
-                    continue
-                step = d2 // g
-                steps[k] = step
-                starts[k] = (pow(c // g, -1, step) * (v // g)) % step
-            vstart = starts[inverse]
-            vstep = steps[inverse]
-            idx = np.flatnonzero(vstart >= 0)
-            # (vector, a12) incidence pairs; each solvable vector has
-            # g = d2/step solutions a12 = start + j*step.
-            reps = d2 // vstep[idx]
-            pair_vec = np.repeat(idx, reps)
-            if len(reps):
-                offs = np.concatenate(
-                    [np.arange(r, dtype=np.int64) for r in reps.tolist()]
-                )
-            else:
-                offs = np.zeros(0, dtype=np.int64)
-            pair_a12 = vstart[pair_vec] + offs * vstep[pair_vec]
-            c1p = c1_all[pair_vec]
-            c2p = (y_all[pair_vec] - c1p * pair_a12) // d2
-            sline = c1p % d3
-            tline = c2p % d3
-            wline = z_all[pair_vec] % d3
-            order = np.argsort(pair_a12, kind="stable")
-            pair_a12 = pair_a12[order]
-            lines = np.stack([sline[order], tline[order], wline[order]], axis=1)
-            bounds = np.searchsorted(
-                pair_a12, np.arange(d2 + 1, dtype=np.int64)
-            )
-            grid = np.zeros((d3, d3), dtype=bool)
-            for a12 in range(d2):
-                lo, hi = bounds[a12], bounds[a12 + 1]
-                if lo == hi:
-                    for a13 in range(d3):
-                        for a23 in range(d3):
-                            yield ((d1, a12, a13), (0, d2, a23), (0, 0, d3))
-                    continue
-                grid[:, :] = False
-                dead = False
-                for s_, t_, w_ in np.unique(lines[lo:hi], axis=0).tolist():
-                    if _mark_line(grid, int(s_), int(t_), int(w_), d3):
-                        dead = True
-                        break
-                if dead:
-                    continue
-                for a13, a23 in np.argwhere(~grid).tolist():
-                    yield (
-                        (d1, a12, int(a13)),
-                        (0, d2, int(a23)),
-                        (0, 0, d3),
-                    )
-
-
-_SIEVES: dict[int, Callable[[int, np.ndarray], Iterator[Basis]]] = {
-    1: _survivors_1d,
-    2: _survivors_2d,
-    3: _survivors_3d,
-}
+# The supported dimensions: those of enumerate_sublattices, the slow path.
+_SIEVES = dict.fromkeys((1, 2, 3, 4), _survivors)
 
 
 @dataclass(frozen=True)
@@ -271,8 +206,10 @@ class SearchQuery:
     dedupe: bool = True
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
+        if self.n not in _SIEVES:
+            raise ValueError(
+                f"supported dimensions are {min(_SIEVES)}..{max(_SIEVES)}, got {self.n}"
+            )
         if self.p < 1:
             raise ValueError("p must be a positive integer")
         if not 1 <= self.volume_min <= self.volume_max:
@@ -296,44 +233,25 @@ class SearchReport:
     bound_provenance: str
 
 
-def _identity_basis(n: int) -> Basis:
-    return tuple(
-        tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
-    )
-
-
 def _fast_volume(
     n: int, p: int, volume: int, t_max: int
-) -> tuple[list[Basis], int, int]:
+) -> tuple[list[Basis], int, int, bool]:
     """Hit bases (not yet analyzed) for one volume on the fast path,
-    plus injectivity and covering survivor counts."""
+    injectivity and covering survivor counts, and whether the hits are
+    perfect (the forced packing ball has exactly `volume` points)."""
     s_r, s_R = algorithm_radii(n, p, volume)
-    if s_r == 0:
-        # Packing radius zero: only the trivial tiling by Z^n itself is
-        # reported; degenerate radius-0 "codes" at larger volumes are not.
-        if volume == 1:
-            return [_identity_basis(n)], 1, 1
-        return [], 0, 0
     bijective = mu(n, p, s_r) == volume
-    if t_max == 0 and not bijective:
-        return [], 0, 0
-    diffs = _ball_diffs(n, p, s_r)
-    sieve = _SIEVES.get(n)
+    # Packing radius zero: only the trivial tiling by Z^n itself (volume
+    # 1) is reported; degenerate radius-0 "codes" at larger volumes are not.
+    if (s_r == 0 and volume > 1) or (t_max == 0 and not bijective):
+        return [], 0, 0, bijective
     inj = 0
     hits: list[Basis] = []
-    if sieve is not None:
-        for basis in sieve(volume, diffs):
-            inj += 1
-            if bijective or covering_test(basis, p, s_R):
-                hits.append(basis)
-    else:
-        for basis in enumerate_sublattices(n, volume):
-            if not injectivity_test(basis, p, s_r):
-                continue
-            inj += 1
-            if bijective or covering_test(basis, p, s_R):
-                hits.append(basis)
-    return hits, inj, len(hits)
+    for basis in _SIEVES[n](volume, _ball_diffs(n, p, s_r)):
+        inj += 1
+        if bijective or covering_test(basis, p, s_R):
+            hits.append(basis)
+    return hits, inj, len(hits), bijective
 
 
 def _volume_task(
@@ -344,24 +262,27 @@ def _volume_task(
     begin = time.monotonic()
     fast = t_max is not None and t_max <= 1
     if fast:
-        bases, inj, cov = _fast_volume(n, p, volume, t_max)
+        bases, inj, cov, bijective = _fast_volume(n, p, volume, t_max)
         enumerated = sublattice_count(n, volume)
-        expected_t = 0 if mu(n, p, algorithm_radii(n, p, volume)[0]) == volume else 1
+        expected_t = 0 if bijective else 1
     else:
         bases = list(enumerate_sublattices(n, volume))
         enumerated = inj = len(bases)
         cov = 0
-        expected_t = -1
     hits: list[tuple[Basis, CodeAnalysis]] = []
     for basis in bases:
         canon = canonical_form(basis)
         a = analyze(canon, p)
         if fast:
             # Fast-path verdicts are re-proved by the full analysis.
-            assert a.t == expected_t, (basis, a.t, expected_t)
+            if a.t != expected_t:
+                raise VerificationError(
+                    f"sieve hit {basis} has t = {a.t}, expected {expected_t}"
+                )
         elif t_max is not None and a.t > t_max:
             continue
-        assert a.mu_r <= a.det <= a.mu_R, (basis, a)
+        if not a.mu_r <= a.det <= a.mu_R:
+            raise VerificationError(f"mu_r <= det <= mu_R fails for {a}")
         hits.append((canon, a))
     if not fast:
         cov = len(hits)
@@ -375,7 +296,8 @@ def dedupe_congruence(bases: Sequence[Basis]) -> list[Basis]:
     seen: dict[Basis, int] = {}
     for b in bases:
         c = canonical_form(b)
-        assert det(c) == abs(det(hnf(b)))
+        if det(c) != abs(det(hnf(b))):
+            raise VerificationError(f"canonical form {c} changed the index of {b}")
         seen.setdefault(c, det(c))
     return sorted(seen, key=lambda c: (seen[c], c))
 
@@ -384,19 +306,36 @@ def load_checkpoint(path: str) -> dict[int, tuple[int, int]]:
     """Parse a checkpoint file into {volume: (hit count, millis)}.
 
     Lines are `M<TAB>hits<TAB>millis`; on duplicates the last line wins
-    (resumed runs append fresh lines for recomputed volumes).
+    (resumed runs append fresh lines for recomputed volumes).  A final
+    line without its newline is what an interrupted write leaves; it is
+    ignored, so that volume is recomputed.
     """
     out: dict[int, tuple[int, int]] = {}
     if not os.path.exists(path):
         return out
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            m, h, ms = line.split("\t")
-            out[int(m)] = (int(h), int(ms))
+        for line in fh.read().split("\n")[:-1]:
+            if line.strip():
+                m, h, ms = line.split("\t")
+                out[int(m)] = (int(h), int(ms))
     return out
+
+
+def _append_checkpoint(path: str) -> TextIO:
+    """Open a checkpoint for appending, first cutting off a final line
+    that an interrupted write left without its newline."""
+    with open(path, "ab+") as fh:
+        fh.seek(0)
+        fh.truncate(fh.read().rfind(b"\n") + 1)
+    return open(path, "a", encoding="utf-8")
+
+
+def jobs_from_env() -> int:
+    """Worker count from the QP_JOBS environment variable, else 1."""
+    text = os.environ.get("QP_JOBS", "1")
+    if not text.isdecimal() or int(text) < 1:
+        raise ValueError(f"QP_JOBS must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def run_search(
@@ -412,7 +351,7 @@ def run_search(
     are not persisted); each completed volume appends one line.
     """
     if jobs is None:
-        jobs = int(os.environ.get("QP_JOBS", "1"))
+        jobs = jobs_from_env()
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     done = load_checkpoint(checkpoint) if checkpoint else {}
@@ -421,7 +360,7 @@ def run_search(
     todo = [m for m in volumes if m not in done or done[m][0] != 0]
     tasks = [(query.n, query.p, m, query.t_max) for m in todo]
     results: dict[int, tuple[list[tuple[Basis, CodeAnalysis]], SearchCounts, int]] = {}
-    ck = open(checkpoint, "a", encoding="utf-8") if checkpoint else None
+    ck = _append_checkpoint(checkpoint) if checkpoint else None
 
     def consume(produced) -> None:
         for volume, hits, counts, millis in produced:
@@ -472,7 +411,7 @@ def run_search(
     )
 
 
-def _fraction_str(fr) -> str:
+def fraction_str(fr: Fraction) -> str:
     return f"{fr.numerator}/{fr.denominator}"
 
 
@@ -491,8 +430,8 @@ def analysis_display(a: CodeAnalysis) -> dict:
         "R": round(a.R_pow ** (1.0 / a.p), 4),
         "mu_r": a.mu_r,
         "mu_R": a.mu_R,
-        "disc_pack_density": _fraction_str(a.disc_pack_density),
-        "disc_cover_density": _fraction_str(a.disc_cover_density),
+        "disc_pack_density": fraction_str(a.disc_pack_density),
+        "disc_cover_density": fraction_str(a.disc_cover_density),
         "shortest_pow": a.shortest_pow,
         "real_pack_radius": round(a.real_pack_radius, 4),
         "real_pack_density": round(a.real_pack_density, 4),

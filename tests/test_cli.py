@@ -150,6 +150,24 @@ class TestExitCodes:
         assert rc == 1
         assert "--min-volume" in err
 
+    @pytest.mark.parametrize("volumes", [("11", "12"), ("1", "3")])
+    def test_search_unsupported_dimension_names_dim(self, capsys, volumes):
+        lo, hi = volumes
+        rc, out, err = run_cli(capsys, "search", "--dim", "5", "--p", "2",
+                               "--min-volume", lo, "--max-volume", hi)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: --dim:")
+
+    def test_search_bad_jobs_variable_names_it(self, capsys, monkeypatch):
+        monkeypatch.setenv("QP_JOBS", "abc")
+        rc, out, err = run_cli(capsys, "search", "--dim", "2", "--p", "2",
+                               "--max-volume", "5")
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert "QP_JOBS" in err
+
     def test_unwritable_out_path(self, capsys, tmp_path):
         target = tmp_path / "missing_dir" / "out.json"
         rc, _, err = run_cli(capsys, "ball", "--dim", "2", "--p", "2",

@@ -3,17 +3,21 @@
 The fast congruence sieve must agree class-for-class with a slow
 reference loop that enumerates every sublattice and analyzes each one
 directly; that loop lives here and shares nothing with the sieve but
-the analyzer.  Determinism across worker counts, checkpoint resume
+the analyzer.  Volume by volume, the sieve's survivors must also be
+exactly the sublattices that pass the labeling injectivity test.  Determinism across worker counts, checkpoint resume
 semantics, dedupe behavior, and the serialization helpers each get
 their own checks, and the disputed rows of the bundled 3-D catalog are
 re-measured through the brute-force oracles in conftest.
 """
 
+import dataclasses
 import json
 
 import pytest
 
+import lpcodes.search
 from conftest import brute_covering_pow, brute_packing_pow, canon_set
+from lpcodes import VerificationError
 from lpcodes.analysis import analyze
 from lpcodes.balls import ball_points, distance_set_at_least, mu, successor
 from lpcodes.lattices import (
@@ -27,6 +31,7 @@ from lpcodes.search import (
     CSV_FIELDS,
     SearchCounts,
     SearchQuery,
+    _SIEVES,
     _ball_diffs,
     algorithm_radii,
     analysis_display,
@@ -47,7 +52,7 @@ from reference_data import (
 )
 
 
-def reference_hits(n, p, volume_hi, t_max):
+def reference_hits(n, p, volume_hi, t_max, volume_lo=1):
     """Slow reference search: full analysis of every sublattice.
 
     Mirrors the reporting contract of the fast path: under a cap of 0
@@ -57,7 +62,7 @@ def reference_hits(n, p, volume_hi, t_max):
     """
     forced = t_max is not None and t_max <= 1
     out = {}
-    for volume in range(1, volume_hi + 1):
+    for volume in range(volume_lo, volume_hi + 1):
         for basis in enumerate_sublattices(n, volume):
             a = analyze(basis, p)
             if forced and a.r_pow == 0 and volume > 1:
@@ -107,10 +112,42 @@ class TestPrimitives:
             assert got == want
 
 
+class TestSieve:
+    """The congruence sieve against the labeling oracle: the survivors
+    of one volume are exactly the sublattices whose injectivity test
+    passes at the forced packing radius, each once."""
+
+    @pytest.mark.parametrize(
+        "n,p,volumes",
+        [
+            (1, 2, range(1, 16)),
+            (2, 1, range(1, 31)),
+            (2, 3, range(1, 31)),
+            (3, 2, range(1, 21)),
+            (3, 1, range(7, 15)),
+            (4, 2, range(8, 13)),
+            (4, 1, range(9, 12)),
+        ],
+    )
+    def test_survivors_are_the_injective_sublattices(self, n, p, volumes):
+        for volume in volumes:
+            s_r, _ = algorithm_radii(n, p, volume)
+            got = list(_SIEVES[n](volume, _ball_diffs(n, p, s_r)))
+            assert len(got) == len(set(got)), volume
+            want = {
+                b
+                for b in enumerate_sublattices(n, volume)
+                if injectivity_test(b, p, s_r)
+            }
+            assert set(got) == want, volume
+
+
 class TestQueryValidation:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             SearchQuery(0, 2, 1, 10)
+        with pytest.raises(ValueError, match="supported dimensions"):
+            SearchQuery(5, 2, 1, 3)
         with pytest.raises(ValueError):
             SearchQuery(2, 0, 1, 10)
         with pytest.raises(ValueError):
@@ -124,6 +161,12 @@ class TestQueryValidation:
     def test_rejects_bad_job_count(self):
         with pytest.raises(ValueError):
             run_search(SearchQuery(2, 2, 1, 2), jobs=0)
+
+    @pytest.mark.parametrize("text", ["abc", "0", ""])
+    def test_rejects_bad_jobs_variable_naming_it(self, monkeypatch, text):
+        monkeypatch.setenv("QP_JOBS", text)
+        with pytest.raises(ValueError, match="QP_JOBS"):
+            run_search(SearchQuery(2, 2, 1, 2))
 
 
 class TestFastPathAgainstReference:
@@ -141,6 +184,19 @@ class TestFastPathAgainstReference:
     def test_3d_default_cap(self):
         report = run_search(SearchQuery(3, 2, 1, 20))
         assert_same_classes(report, reference_hits(3, 2, 20, t_max=1))
+
+    def test_1d_default_cap(self):
+        report = run_search(SearchQuery(1, 2, 1, 40))
+        assert_same_classes(report, reference_hits(1, 2, 40, t_max=1))
+
+    def test_4d_default_cap(self):
+        # Volume 10 is one above mu(4, 2, 1) = 9, so its codes are
+        # quasi-perfect and the covering test decides them.  The slow
+        # reference costs seconds per 4-D volume, hence one volume.
+        report = run_search(SearchQuery(4, 2, 10, 10))
+        want = reference_hits(4, 2, 10, t_max=1, volume_lo=10)
+        assert {a.t for a in want.values()} == {1}
+        assert_same_classes(report, want)
 
     def test_perfect_only(self):
         report = run_search(SearchQuery(2, 2, 1, 40, t_max=0))
@@ -218,11 +274,50 @@ class TestCheckpoint:
         fresh = run_search(SearchQuery(2, 2, 1, 9))
         assert 5 in {a.det for _, a in fresh.hits}
 
+    def test_line_cut_short_by_a_crash_is_recomputed(self, tmp_path):
+        path = tmp_path / "cut.tsv"
+        path.write_text("1\t1\t0\n2\t0\t0\n3\t0", encoding="utf-8")
+        assert load_checkpoint(str(path)) == {1: (1, 0), 2: (0, 0)}
+        query = SearchQuery(2, 2, 1, 5)
+        resumed = run_search(query, checkpoint=str(path))
+        assert resumed.hits == run_search(query).hits
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[:2] == ["1\t1\t0", "2\t0\t0"]
+        assert all(len(line.split("\t")) == 3 for line in lines)
+        assert sorted(load_checkpoint(str(path))) == [1, 2, 3, 4, 5]
+
     def test_parse_last_line_wins_and_missing_file_is_empty(self, tmp_path):
         path = tmp_path / "dupes.tsv"
         path.write_text("7\t3\t10\n\n7\t0\t12\n", encoding="utf-8")
         assert load_checkpoint(str(path)) == {7: (0, 12)}
         assert load_checkpoint(str(tmp_path / "missing.tsv")) == {}
+
+
+class TestVerification:
+    """Re-proofs raise VerificationError, which `python -O` keeps."""
+
+    def test_fast_path_hit_with_wrong_degree_raises(self, monkeypatch):
+        def wrong_t(basis, p):
+            a = analyze(basis, p)
+            return dataclasses.replace(a, t=a.t + 1)
+
+        monkeypatch.setattr(lpcodes.search, "analyze", wrong_t)
+        with pytest.raises(VerificationError, match="expected"):
+            run_search(SearchQuery(2, 2, 1, 10))
+
+    def test_ball_counts_not_bracketing_the_volume_raise(self, monkeypatch):
+        def wrong_mu(basis, p):
+            a = analyze(basis, p)
+            return dataclasses.replace(a, mu_r=a.det + 1)
+
+        monkeypatch.setattr(lpcodes.search, "analyze", wrong_mu)
+        with pytest.raises(VerificationError, match="mu_r"):
+            run_search(SearchQuery(2, 2, 1, 6, t_max=None))
+
+    def test_canonical_form_changing_the_index_raises(self, monkeypatch):
+        monkeypatch.setattr(lpcodes.search, "canonical_form", lambda b: ((1, 0), (0, 1)))
+        with pytest.raises(VerificationError, match="index"):
+            dedupe_congruence([((1, 2), (0, 5))])
 
 
 class TestDedupe:
