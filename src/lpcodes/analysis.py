@@ -89,14 +89,6 @@ def covering_radius_pow(basis: Sequence[Sequence[int]], p: int) -> int:
     )
 
 
-def imperfection_degree(basis: Sequence[Sequence[int]], p: int) -> int:
-    """Number of distance-set elements in [packing radius, covering radius)."""
-    h = hnf(basis)
-    r_pow = packing_radius_pow(h, p)
-    R_pow = covering_radius_pow(h, p)
-    return _dset(len(h), p, R_pow).gap_count(r_pow, R_pow)
-
-
 def real_covering_radius_2d_euclidean(basis: Sequence[Sequence[int]]) -> float:
     """Covering radius of a planar lattice over R^2, Euclidean metric.
 

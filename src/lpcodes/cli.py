@@ -44,6 +44,7 @@ from .search import (
     compact_basis,
     fraction_str,
     jobs_from_env,
+    load_checkpoint,
     report_csv_rows,
     report_to_dict,
     run_search,
@@ -160,6 +161,11 @@ def _cmd_search(args: argparse.Namespace) -> str:
             jobs = jobs_from_env()
         except ValueError as exc:
             raise CliError(str(exc))
+    if args.checkpoint:
+        try:
+            load_checkpoint(args.checkpoint, query)
+        except ValueError as exc:
+            raise CliError(f"--checkpoint: {exc}")
     report = run_search(query, jobs=jobs, checkpoint=args.checkpoint)
     if args.format == "json":
         return _json_text(report_to_dict(report))

@@ -211,15 +211,6 @@ def bound_row(
     return BoundRow(r_pow, count, delta_lower, theta7, theta8)
 
 
-def quasiperfect_bound_row(
-    n: int, p: int, r_pow: int
-) -> tuple[float, float, float]:
-    """(delta_lower, theta_upper_7, theta_upper_8) for a quasi-perfect
-    code of packing pow-radius r_pow."""
-    row = bound_row(n, p, r_pow, mode="quasiperfect")
-    return row.delta_lower, row.theta_upper_7, row.theta_upper_8
-
-
 @dataclass(frozen=True)
 class BoundReport:
     n: int

@@ -110,26 +110,6 @@ def is_hnf(basis: Sequence[Sequence[int]]) -> bool:
     return True
 
 
-def adjugate(basis: Sequence[Sequence[int]]) -> Basis:
-    """Exact adjugate: basis @ adjugate == det * identity."""
-    b = as_basis(basis)
-    n = len(b)
-    if det(b) == 0:
-        raise SingularMatrixError("adjugate of a singular matrix")
-    if n == 1:
-        return ((1,),)
-
-    def minor(r: int, c: int) -> int:
-        sub = [
-            [b[i][j] for j in range(n) if j != c] for i in range(n) if i != r
-        ]
-        return det(sub)
-
-    return tuple(
-        tuple((-1) ** (i + j) * minor(j, i) for j in range(n)) for i in range(n)
-    )
-
-
 def _ordered_factorizations(m: int, k: int) -> Iterator[tuple[int, ...]]:
     """All k-tuples of positive integers with product m, lexicographic."""
     if k == 1:
@@ -201,14 +181,7 @@ def canonical_form(basis: Sequence[Sequence[int]]) -> Basis:
     permutations.  Two lattices are congruent iff their canonical forms
     are equal."""
     b = as_basis(basis)
-    n = len(b)
-    best: Basis | None = None
-    for t in signed_permutations(n):
-        h = hnf(apply_transform(t, b))
-        if best is None or h < best:
-            best = h
-    assert best is not None
-    return best
+    return min(hnf(apply_transform(t, b)) for t in signed_permutations(len(b)))
 
 
 def coset_representatives(hnf_basis: Sequence[Sequence[int]]) -> Iterator[Point]:

@@ -1,17 +1,25 @@
-"""Exhaustive search for perfect and low-imperfection lattice codes.
+"""Exhaustive search for lattice codes with a capped degree of imperfection.
 
-For each volume M the packing radius of any surviving code is forced:
-s_r = max{s in D : mu(s) <= M}.  A code passes the injectivity test at
-s_r exactly when no nonzero difference of two ball points lies in the
-lattice, so instead of labeling every ball point for every candidate
-basis, the difference set is computed once per (n, p, s_r) and sieved
-against the Hermite normal form entries: per diagonal, column by column,
-each difference left in the lattice by the earlier columns becomes one
-linear congruence on the next column's entries.  The losing candidates
-are never constructed, and one sieve serves every n <= 4.  Survivors
-then face the covering test at the successor radius (quasi-perfect) or
-the exact-count check (perfect), and every reported hit is re-proved by
-the full per-lattice analysis, which raises VerificationError if not.
+Write D for the distance set, mu(s) for the ball count and k for the cap
+on t.  At volume M every code has packing radius r <= s_r = max{s in D :
+mu(s) <= M}.  A code that is not perfect has mu(R) > M, so R > s_r and t
+counts every element of D in [r, s_r]; hence r >= r_min = pred^(k-1)(s_r)
+in D, clamped at 0 (r_min = s_r for k <= 1).  Also R <= succ^k(s_r), and
+no index-M lattice covers worse than cap = (M // 2)^p (reduce a point into
+the centred box of the HNF diagonal), so R <= s_cov, the first of
+succ^0..k(s_r) that reaches the cap, else succ^k(s_r).
+
+Injectivity at r_min holds exactly when no nonzero difference of two ball
+points lies in the lattice, so the difference set is computed once per
+(n, p, r_min) and sieved against the Hermite normal form entries: per
+diagonal, column by column, each difference left in the lattice by the
+earlier columns becomes one linear congruence on the next column's
+entries.  Losing candidates are never constructed, and one sieve serves
+every n <= 4.  Survivors face the covering test at s_cov, which all pass
+when s_cov reaches the cap or mu(r_min) = M; the rest are canonicalized,
+analyzed and kept when t <= k.  The analysis re-proves r >= r_min, R <=
+s_cov and, when r = s_r, t <= k, raising VerificationError if not.  No
+cap is the case r_min = 0, where every sublattice survives the sieve.
 
 Volumes are independent, so the search parallelizes over them; results
 are merged in volume order and finally sorted, making reports identical
@@ -27,13 +35,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import prod
+from math import inf, prod
 from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
 from .analysis import CodeAnalysis, analyze, labels_are_distinct
-from .balls import ball_points, mu, successor
+from .balls import ball_points, distance_set_at_least, mu, successor
 from .errors import VerificationError
 from .lattices import (
     Basis,
@@ -41,7 +49,7 @@ from .lattices import (
     canonical_form,
     coset_label,
     det,
-    enumerate_sublattices,
+    enumerate_sublattices,  # not called here; perfbench/tracer.py patches this name
     hnf,
     sublattice_count,
 )
@@ -192,7 +200,7 @@ def _survivors(volume: int, diffs: np.ndarray) -> Iterator[Basis]:
             yield _basis_at(index, diag)
 
 
-# The supported dimensions: those of enumerate_sublattices, the slow path.
+# The supported dimensions: those of enumerate_sublattices, the sieve's oracle.
 _SIEVES = dict.fromkeys((1, 2, 3, 4), _survivors)
 
 
@@ -233,86 +241,83 @@ class SearchReport:
     bound_provenance: str
 
 
-def _fast_volume(
-    n: int, p: int, volume: int, t_max: int
-) -> tuple[list[Basis], int, int, bool]:
-    """Hit bases (not yet analyzed) for one volume on the fast path,
-    injectivity and covering survivor counts, and whether the hits are
-    perfect (the forced packing ball has exactly `volume` points)."""
-    s_r, s_R = algorithm_radii(n, p, volume)
-    bijective = mu(n, p, s_r) == volume
-    # Packing radius zero: only the trivial tiling by Z^n itself (volume
-    # 1) is reported; degenerate radius-0 "codes" at larger volumes are not.
-    if (s_r == 0 and volume > 1) or (t_max == 0 and not bijective):
-        return [], 0, 0, bijective
-    inj = 0
-    hits: list[Basis] = []
-    for basis in _SIEVES[n](volume, _ball_diffs(n, p, s_r)):
-        inj += 1
-        if bijective or covering_test(basis, p, s_R):
-            hits.append(basis)
-    return hits, inj, len(hits), bijective
-
-
 def _volume_task(
     args: tuple[int, int, int, int | None]
 ) -> tuple[int, list[tuple[Basis, CodeAnalysis]], SearchCounts, int]:
     """Process one volume; returns (volume, analyzed hits, counts, millis)."""
     n, p, volume, t_max = args
     begin = time.monotonic()
-    fast = t_max is not None and t_max <= 1
-    if fast:
-        bases, inj, cov, bijective = _fast_volume(n, p, volume, t_max)
-        enumerated = sublattice_count(n, volume)
-        expected_t = 0 if bijective else 1
-    else:
-        bases = list(enumerate_sublattices(n, volume))
-        enumerated = inj = len(bases)
-        cov = 0
+    k = inf if t_max is None else t_max
+    s_r, _ = algorithm_radii(n, p, volume)
+    # r_min = pred^(k-1)(s_r), clamped at 0; s_r for k <= 1.
+    elements = distance_set_at_least(n, p, s_r).elements
+    r_min = elements[max(elements.index(s_r) + 1 - max(k, 1), 0)]
+    cap = (volume // 2) ** p
+    s_cov, steps = s_r, 0
+    while steps < k and s_cov < cap:
+        s_cov, steps = successor(n, p, s_cov), steps + 1
+    everyone_covers = s_cov >= cap or mu(n, p, r_min) == volume
+    # The least possible t is 0 only when the forced ball tiles.  Under a
+    # cap of 0 or 1, packing radius zero is reported only for the trivial
+    # tiling by Z^n itself (volume 1), not for degenerate larger codes.
+    least_t = 0 if mu(n, p, s_r) == volume else 1
+    skip = least_t > k or (k <= 1 and s_r == 0 and volume > 1)
+    survivors = () if skip else _SIEVES[n](volume, _ball_diffs(n, p, r_min))
+    inj = cov = 0
     hits: list[tuple[Basis, CodeAnalysis]] = []
-    for basis in bases:
+    for basis in survivors:
+        inj += 1
+        if not (everyone_covers or covering_test(basis, p, s_cov)):
+            continue
+        cov += 1
         canon = canonical_form(basis)
         a = analyze(canon, p)
-        if fast:
-            # Fast-path verdicts are re-proved by the full analysis.
-            if a.t != expected_t:
-                raise VerificationError(
-                    f"sieve hit {basis} has t = {a.t}, expected {expected_t}"
-                )
-        elif t_max is not None and a.t > t_max:
-            continue
+        if a.det != volume:
+            raise VerificationError(
+                f"canonical form {canon} changed the index of {basis}"
+            )
+        if a.r_pow < r_min or a.R_pow > s_cov or (a.r_pow == s_r and a.t > k):
+            raise VerificationError(
+                f"sieve hit {basis} has r = {a.r_pow}, R = {a.R_pow}, t = {a.t};"
+                f" expected r >= {r_min}, R <= {s_cov} and, if r = {s_r}, t <= {k}"
+            )
         if not a.mu_r <= a.det <= a.mu_R:
             raise VerificationError(f"mu_r <= det <= mu_R fails for {a}")
-        hits.append((canon, a))
-    if not fast:
-        cov = len(hits)
+        if a.t <= k:
+            hits.append((canon, a))
     millis = int((time.monotonic() - begin) * 1000.0)
-    return volume, hits, SearchCounts(enumerated, inj, cov), millis
+    return volume, hits, SearchCounts(sublattice_count(n, volume), inj, cov), millis
 
 
-def dedupe_congruence(bases: Sequence[Basis]) -> list[Basis]:
-    """One representative (the canonical form) per congruence class,
-    stable-sorted by (determinant, canonical entries)."""
-    seen: dict[Basis, int] = {}
-    for b in bases:
-        c = canonical_form(b)
-        if det(c) != abs(det(hnf(b))):
-            raise VerificationError(f"canonical form {c} changed the index of {b}")
-        seen.setdefault(c, det(c))
-    return sorted(seen, key=lambda c: (seen[c], c))
+def checkpoint_header(query: SearchQuery) -> str:
+    """The query fields a checkpoint's records depend on, as kept in the
+    `<checkpoint>.query` file written beside it."""
+    return f"n={query.n} p={query.p} t_max={query.t_max}"
 
 
-def load_checkpoint(path: str) -> dict[int, tuple[int, int]]:
+def load_checkpoint(
+    path: str, query: SearchQuery | None = None
+) -> dict[int, tuple[int, int]]:
     """Parse a checkpoint file into {volume: (hit count, millis)}.
 
     Lines are `M<TAB>hits<TAB>millis`; on duplicates the last line wins
     (resumed runs append fresh lines for recomputed volumes).  A final
     line without its newline is what an interrupted write leaves; it is
-    ignored, so that volume is recomputed.
+    ignored, so that volume is recomputed.  Given a query, a
+    `<path>.query` file naming another query raises ValueError, because
+    the records would answer that query; without one the file loads.
     """
     out: dict[int, tuple[int, int]] = {}
     if not os.path.exists(path):
         return out
+    if query is not None and os.path.exists(path + ".query"):
+        with open(path + ".query", "r", encoding="utf-8") as fh:
+            written = fh.read().strip()
+        if written != checkpoint_header(query):
+            raise ValueError(
+                f"checkpoint {path} was written for {written!r}, "
+                f"not for {checkpoint_header(query)!r}"
+            )
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh.read().split("\n")[:-1]:
             if line.strip():
@@ -321,12 +326,17 @@ def load_checkpoint(path: str) -> dict[int, tuple[int, int]]:
     return out
 
 
-def _append_checkpoint(path: str) -> TextIO:
+def _append_checkpoint(path: str, query: SearchQuery) -> TextIO:
     """Open a checkpoint for appending, first cutting off a final line
-    that an interrupted write left without its newline."""
+    that an interrupted write left without its newline.  A checkpoint
+    left empty gets the query's `<path>.query` file."""
     with open(path, "ab+") as fh:
         fh.seek(0)
-        fh.truncate(fh.read().rfind(b"\n") + 1)
+        keep = fh.read().rfind(b"\n") + 1
+        fh.truncate(keep)
+    if keep == 0:
+        with open(path + ".query", "w", encoding="utf-8") as fh:
+            fh.write(checkpoint_header(query) + "\n")
     return open(path, "a", encoding="utf-8")
 
 
@@ -348,19 +358,20 @@ def run_search(
     jobs defaults to the QP_JOBS environment variable, else 1.  With a
     checkpoint path, volumes recorded there with zero hits are skipped
     outright and hit-bearing ones are recomputed (the analysis objects
-    are not persisted); each completed volume appends one line.
+    are not persisted); each completed volume appends one line.  A
+    checkpoint written for another query raises ValueError.
     """
     if jobs is None:
         jobs = jobs_from_env()
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    done = load_checkpoint(checkpoint) if checkpoint else {}
+    done = load_checkpoint(checkpoint, query) if checkpoint else {}
     volumes = list(range(query.volume_min, query.volume_max + 1))
     skipped = [m for m in volumes if m in done and done[m][0] == 0]
     todo = [m for m in volumes if m not in done or done[m][0] != 0]
     tasks = [(query.n, query.p, m, query.t_max) for m in todo]
     results: dict[int, tuple[list[tuple[Basis, CodeAnalysis]], SearchCounts, int]] = {}
-    ck = _append_checkpoint(checkpoint) if checkpoint else None
+    ck = _append_checkpoint(checkpoint, query) if checkpoint else None
 
     def consume(produced) -> None:
         for volume, hits, counts, millis in produced:

@@ -15,7 +15,6 @@ import pytest
 from lpcodes.analysis import (
     analyze,
     covering_radius_pow,
-    imperfection_degree,
     labels_are_distinct,
     packing_radius_pow,
     real_covering_radius_2d_euclidean,
@@ -102,7 +101,7 @@ class TestImperfection:
             expected = sum(
                 1 for s in distance_set(2, 2, R).elements if r <= s < R
             )
-            assert imperfection_degree(h, 2) == expected
+            assert analyze(h, 2).t == expected
 
     def test_perfect_iff_radii_equal(self):
         a = analyze(((1, 2), (0, 5)), 2)

@@ -168,6 +168,17 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert "QP_JOBS" in err
 
+    def test_search_checkpoint_of_another_query_names_it(self, capsys, tmp_path):
+        ck = str(tmp_path / "p3.tsv")
+        rc, _, _ = run_cli(capsys, "search", "--dim", "2", "--p", "3",
+                           "--max-volume", "8", "--checkpoint", ck)
+        assert rc == 0
+        rc, out, err = run_cli(capsys, "search", "--dim", "2", "--p", "2",
+                               "--max-volume", "8", "--checkpoint", ck)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: --checkpoint:")
+
     def test_unwritable_out_path(self, capsys, tmp_path):
         target = tmp_path / "missing_dir" / "out.json"
         rc, _, err = run_cli(capsys, "ball", "--dim", "2", "--p", "2",

@@ -25,7 +25,6 @@ from lpcodes.families import (
     neighbors_in_distance_set,
     p_range_B,
     perfect_radius_bound,
-    quasiperfect_bound_row,
 )
 from lpcodes.lattices import canonical_form, det
 
@@ -182,14 +181,6 @@ class TestBounds:
     def test_unrepresentable_radius_rejected(self):
         with pytest.raises(ValueError):
             bound_row(2, 2, 3, "quasiperfect")
-
-    def test_quasiperfect_helper_matches_row(self):
-        row = bound_row(2, 2, 74)
-        assert quasiperfect_bound_row(2, 2, 74) == (
-            row.delta_lower,
-            row.theta_upper_7,
-            row.theta_upper_8,
-        )
 
     def test_frozen_table_rows(self):
         for block, r_pow, mu_expected, delta, theta7, theta8 in TABLE1_ROWS:

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from lpcodes.balls import distance_set
 from lpcodes.errors import SingularMatrixError
 from lpcodes.lattices import (
-    adjugate,
     apply_transform,
     canonical_form,
     closest_lattice_distance_pow,
@@ -108,24 +107,6 @@ class TestHnf:
             hnf(((1, 2), (2, 4)))
         with pytest.raises(SingularMatrixError):
             hnf(((0, 0), (0, 0)))
-
-    def test_adjugate_identity(self):
-        rng = random.Random(3)
-        for _ in range(20):
-            n = rng.choice((2, 3))
-            while True:
-                b = tuple(tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(n))
-                if det_nonzero(b):
-                    break
-            adj = adjugate(b)
-            d = det(b)
-            prod = tuple(
-                tuple(sum(b[i][k] * adj[k][j] for k in range(n)) for j in range(n))
-                for i in range(n)
-            )
-            assert prod == tuple(
-                tuple(d if i == j else 0 for j in range(n)) for i in range(n)
-            )
 
 
 class TestEnumeration:

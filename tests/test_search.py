@@ -1,28 +1,30 @@
 """Search pipeline tests.
 
-The fast congruence sieve must agree class-for-class with a slow
+The congruence-sieve pipeline must agree class-for-class with a slow
 reference loop that enumerates every sublattice and analyzes each one
-directly; that loop lives here and shares nothing with the sieve but
-the analyzer.  Volume by volume, the sieve's survivors must also be
-exactly the sublattices that pass the labeling injectivity test.  Determinism across worker counts, checkpoint resume
-semantics, dedupe behavior, and the serialization helpers each get
-their own checks, and the disputed rows of the bundled 3-D catalog are
-re-measured through the brute-force oracles in conftest.
+directly, under every imperfection cap; that loop lives here and shares
+nothing with the sieve but the analyzer.  Volume by volume, the sieve's
+survivors must also be exactly the sublattices that pass the labeling
+injectivity test, and the covering-radius cap the pipeline relies on is
+checked against the analyzer.  Determinism across worker counts,
+checkpoint resume semantics, dedupe behavior, and the serialization
+helpers each get their own checks, and the disputed rows of the bundled
+3-D catalog are re-measured through the brute-force oracles in conftest.
 """
 
 import dataclasses
 import json
+from functools import cache
 
 import pytest
 
 import lpcodes.search
-from conftest import brute_covering_pow, brute_packing_pow, canon_set
+from conftest import brute_covering_pow, brute_packing_pow
 from lpcodes import VerificationError
-from lpcodes.analysis import analyze
+from lpcodes.analysis import analyze, covering_radius_pow
 from lpcodes.balls import ball_points, distance_set_at_least, mu, successor
 from lpcodes.lattices import (
     canonical_form,
-    det,
     enumerate_sublattices,
     hnf,
     sublattice_count,
@@ -35,9 +37,9 @@ from lpcodes.search import (
     _ball_diffs,
     algorithm_radii,
     analysis_display,
+    checkpoint_header,
     compact_basis,
     covering_test,
-    dedupe_congruence,
     injectivity_test,
     load_checkpoint,
     report_csv_rows,
@@ -52,10 +54,18 @@ from reference_data import (
 )
 
 
+@cache
+def _reference_analyses(n, p, volume):
+    """(basis, analysis) for every index-`volume` sublattice."""
+    return tuple(
+        (basis, analyze(basis, p)) for basis in enumerate_sublattices(n, volume)
+    )
+
+
 def reference_hits(n, p, volume_hi, t_max, volume_lo=1):
     """Slow reference search: full analysis of every sublattice.
 
-    Mirrors the reporting contract of the fast path: under a cap of 0
+    Mirrors the reporting contract of the pipeline: under a cap of 0
     or 1 the packing radius of a reportable code is forced, so codes
     with packing radius zero are dropped except the trivial volume-1
     tiling.  Uncapped (or higher-capped) queries report everything.
@@ -63,8 +73,7 @@ def reference_hits(n, p, volume_hi, t_max, volume_lo=1):
     forced = t_max is not None and t_max <= 1
     out = {}
     for volume in range(volume_lo, volume_hi + 1):
-        for basis in enumerate_sublattices(n, volume):
-            a = analyze(basis, p)
+        for basis, a in _reference_analyses(n, p, volume):
             if forced and a.r_pow == 0 and volume > 1:
                 continue
             if t_max is not None and a.t > t_max:
@@ -142,6 +151,21 @@ class TestSieve:
             assert set(got) == want, volume
 
 
+class TestCoveringCap:
+    """No index-M sublattice covers worse than (M // 2)^p, the cap that
+    bounds the pipeline's covering filter, and every volume attains it."""
+
+    @pytest.mark.parametrize(
+        "n,p,volume_hi", [(2, 1, 20), (2, 2, 20), (2, 3, 20), (3, 2, 8)]
+    )
+    def test_covering_radius_at_most_the_cap(self, n, p, volume_hi):
+        for volume in range(1, volume_hi + 1):
+            radii = [
+                covering_radius_pow(b, p) for b in enumerate_sublattices(n, volume)
+            ]
+            assert max(radii) == (volume // 2) ** p, volume
+
+
 class TestQueryValidation:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -204,6 +228,12 @@ class TestFastPathAgainstReference:
         got = {b: a.r_pow for b, a in report.hits}
         want = {canonical_form(b): s for b, s in PERFECT_CLASSES_2D_P2}
         assert got == want
+
+    @pytest.mark.parametrize("t_max", [2, 3])
+    @pytest.mark.parametrize("n,p,volume_hi", [(2, 2, 40), (2, 3, 30), (3, 2, 12)])
+    def test_higher_caps(self, n, p, volume_hi, t_max):
+        report = run_search(SearchQuery(n, p, 1, volume_hi, t_max=t_max))
+        assert_same_classes(report, reference_hits(n, p, volume_hi, t_max))
 
     def test_uncapped_keeps_every_class(self):
         report = run_search(SearchQuery(2, 2, 1, 12, t_max=None))
@@ -286,6 +316,26 @@ class TestCheckpoint:
         assert all(len(line.split("\t")) == 3 for line in lines)
         assert sorted(load_checkpoint(str(path))) == [1, 2, 3, 4, 5]
 
+    def test_checkpoint_of_another_query_is_refused(self, tmp_path):
+        path = str(tmp_path / "p3.tsv")
+        run_search(SearchQuery(2, 3, 1, 12), checkpoint=path)
+        with open(path + ".query", encoding="utf-8") as fh:
+            assert fh.read() == "n=2 p=3 t_max=1\n"
+        assert sorted(load_checkpoint(path)) == list(range(1, 13))
+        for other in (
+            SearchQuery(2, 2, 1, 12),
+            SearchQuery(3, 3, 1, 12),
+            SearchQuery(2, 3, 1, 12, t_max=2),
+        ):
+            with pytest.raises(ValueError, match="checkpoint"):
+                run_search(other, checkpoint=path)
+        query = SearchQuery(2, 3, 5, 20)
+        assert load_checkpoint(path, query) == load_checkpoint(path)
+        resumed = run_search(query, checkpoint=path)
+        assert resumed.hits == run_search(query).hits
+        with open(path + ".query", encoding="utf-8") as fh:
+            assert fh.read() == checkpoint_header(query) + "\n"
+
     def test_parse_last_line_wins_and_missing_file_is_empty(self, tmp_path):
         path = tmp_path / "dupes.tsv"
         path.write_text("7\t3\t10\n\n7\t0\t12\n", encoding="utf-8")
@@ -317,7 +367,17 @@ class TestVerification:
     def test_canonical_form_changing_the_index_raises(self, monkeypatch):
         monkeypatch.setattr(lpcodes.search, "canonical_form", lambda b: ((1, 0), (0, 1)))
         with pytest.raises(VerificationError, match="index"):
-            dedupe_congruence([((1, 2), (0, 5))])
+            run_search(SearchQuery(2, 2, 1, 10))
+
+    def test_packing_radius_below_the_sieve_radius_raises(self, monkeypatch):
+        # At volumes 21..30 (p=2) s_r >= 5, so r_min = pred(s_r) >= 4
+        # under a cap of 2; a packing radius of 0 cannot pass the sieve.
+        def wrong_r(basis, p):
+            return dataclasses.replace(analyze(basis, p), r_pow=0)
+
+        monkeypatch.setattr(lpcodes.search, "analyze", wrong_r)
+        with pytest.raises(VerificationError, match="expected r >= "):
+            run_search(SearchQuery(2, 2, 21, 30, t_max=2))
 
 
 class TestDedupe:
@@ -328,19 +388,6 @@ class TestDedupe:
         assert {b for b, _ in rep_off.hits} == {b for b, _ in rep_on.hits}
         order = [(a.det, b) for b, a in rep_off.hits]
         assert order == sorted(order)
-
-    def test_dedupe_congruence_helper(self):
-        bases = [
-            ((1, 2), (0, 7)),
-            ((1, 3), (0, 7)),
-            ((1, 1), (0, 7)),
-            ((1, 2), (0, 5)),
-        ]
-        reps = dedupe_congruence(bases)
-        assert len(reps) == 3
-        assert reps == sorted(reps, key=lambda c: (det(c), c))
-        assert dedupe_congruence(reps) == reps
-        assert canon_set(bases) == set(reps)
 
 
 class TestSerialization:
