@@ -1,43 +1,82 @@
 """Per-lattice code analysis: packing and covering radii, imperfection
 degree, and the four density figures (discrete/real x packing/covering).
 
-The packing radius is found by ascending the distance set and running the
-coset-label injectivity test per element; once two translated balls meet
-they meet for every larger radius, so the scan stops at the first failure.
-The covering radius is computed by the independent route: exact
-closest-point distances maximized over all cosets.  The two agree through
-the relation covering <= s  iff  ball labels at s cover every coset; tests
-exercise that equivalence rather than the code assuming it.
+Both radii come from one coset-label kernel.  The packing radius is read
+off a labelled ball: its points are sorted by norm and labelled with
+their cosets, and the first point of each coset is marked.  Translated
+balls are disjoint while every point is first in its coset, so the
+packing radius is the distance-set element just below the least norm of
+a point that is not.  The shortest vector is the least norm of a nonzero
+point labelled 0.  The covering radius, the largest distance from a
+coset to the lattice, can lie far outside a ball of about det points
+(a thin cell), so it is built one axis at a time over an array of det
+coset labels instead.  The tests check these against routes that share
+nothing with this one: literal ball disjointness, and closest-point
+searches over a full residue system.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
+import numpy as np
+
 from .balls import (
+    algorithm_radii,
     ball_points,
-    distance_set,
+    distance_set,  # not called here; perfbench/tracer.py patches this name
     distance_set_at_least,
+    iroot,
     mu,
+    successor,
     unit_ball_volume,
 )
-from .errors import DimensionUnsupportedError
+from .errors import DimensionUnsupportedError, SingularMatrixError
 from .lattices import (
     Basis,
     as_basis,
-    closest_lattice_distance_pow,
-    coset_label,
-    coset_representatives,
+    closest_lattice_distance_pow,  # unused here; perfbench/tracer.py patches this name
+    coset_labels,
     det,
     hnf,
-    shortest_vector_pow,
 )
 
 
 _dset = distance_set_at_least
+
+
+@cache
+def _ball(n: int, p: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The points of the ball of pow-radius s sorted by norm (stably, so
+    lexicographic within a norm) and their norms, as read-only arrays.
+    Every norm is at most s, so the norms are int64 below 2^63 and
+    Python ints past it."""
+    pts = np.array(ball_points(n, p, s), dtype=np.int64).reshape(-1, n)
+    exact = np.int64 if s < 2**63 else object
+    norms = (np.abs(pts).astype(exact) ** p).sum(axis=1)
+    order = np.argsort(norms, kind="stable")
+    pts, norms = pts[order], norms[order]
+    pts.setflags(write=False)
+    norms.setflags(write=False)
+    return pts, norms
+
+
+def first_in_coset(hnf_basis: Basis, p: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """(norms, first): the increasing norms of the ball of pow-radius s,
+    and a mask marking the first point of each coset the ball meets,
+    which is that coset's point of least norm."""
+    pts, norms = _ball(len(hnf_basis), p, s)
+    labels = coset_labels(hnf_basis, pts)
+    order = np.argsort(labels, kind="stable")
+    grouped = labels[order]
+    first = np.empty(len(order), dtype=bool)
+    first[order] = np.concatenate(([True], grouped[1:] != grouped[:-1]))
+    return norms, first
 
 
 def labels_are_distinct(hnf_basis: Basis, p: int, s: int, volume: int) -> bool:
@@ -46,47 +85,79 @@ def labels_are_distinct(hnf_basis: Basis, p: int, s: int, volume: int) -> bool:
     Pigeonhole first: more ball points than cosets can never inject.
     """
     n = len(hnf_basis)
-    m = mu(n, p, s)
-    if m > volume:
-        return False
-    seen = set()
-    for pt in ball_points(n, p, s):
-        lab = coset_label(hnf_basis, pt)
-        if lab in seen:
-            return False
-        seen.add(lab)
-    return True
+    return mu(n, p, s) <= volume and bool(first_in_coset(hnf_basis, p, s)[1].all())
 
 
 def packing_radius_pow(basis: Sequence[Sequence[int]], p: int) -> int:
     """Largest pow-radius in the distance set whose lattice translates of
-    the ball are pairwise disjoint."""
+    the ball are pairwise disjoint.
+
+    At the first s with mu(s) > det two ball points share a coset.  The
+    translates stay disjoint exactly below the least norm of a point
+    that is not first in its coset.
+    """
     h = hnf(basis)
     n = len(h)
-    volume = det(h)
-    best = 0
-    limit = 256
-    while True:
-        dset = distance_set(n, p, limit)
-        for s in dset.elements[1:]:
-            if s <= best:
-                continue
-            if mu(n, p, s) > volume:
-                return best
-            if labels_are_distinct(h, p, s, volume):
-                best = s
-            else:
-                return best
-        limit *= 4  # all generated elements passed; need a longer runway
+    _, s = algorithm_radii(n, p, det(h))
+    norms, first = first_in_coset(h, p, s)
+    clash = int(norms[~first][0])
+    elements = _dset(n, p, clash).elements
+    return elements[bisect_left(elements, clash) - 1]
 
 
 def covering_radius_pow(basis: Sequence[Sequence[int]], p: int) -> int:
     """Smallest pow-radius whose lattice translates of the ball cover Z^n:
-    the maximum over cosets of the exact closest-point distance."""
+    the largest over cosets of the least sum of |z_i|^p over the coset.
+
+    An array of det coset costs starts at 0 for the lattice, and axis i
+    lets every coset take its cheapest step z * e_i from another: a unit
+    step permutes the labels, and the walk stops when it returns to the
+    lattice or |z|^p passes a cap s.  If every cost ends at most s, the
+    cap cut off no optimal point.  Otherwise the largest cost, an upper
+    bound, becomes the cap (s doubles while a coset is unreached).
+    Memory is O(det) however thin the cell.
+    """
     h = hnf(basis)
-    return max(
-        closest_lattice_distance_pow(h, p, x) for x in coset_representatives(h)
-    )
+    n = len(h)
+    volume = det(h)
+    box = np.indices([h[i][i] for i in range(n)]).reshape(n, -1).T
+    moved = (box[:, None, :] + np.eye(n, dtype=np.int64)).reshape(-1, n)
+    ups = coset_labels(h, moved).reshape(volume, n).T  # label of c + e_i
+    downs = np.argsort(ups, axis=1)  # the inverse permutations: c - e_i
+    s = algorithm_radii(n, p, volume)[1]
+    while True:
+        unreached = n * s + 1
+        exact = np.int64 if 2 * unreached < 2**63 else object
+        dist = np.full(volume, unreached, dtype=exact)
+        dist[0] = 0
+        for up, down in zip(ups, downs):
+            best, plus, minus = dist, up, down
+            for z in range(1, iroot(s, p) + 1):
+                if plus[0] == 0:
+                    break
+                best = np.minimum(best, np.minimum(dist[plus], dist[minus]) + z**p)
+                plus, minus = up[plus], down[minus]
+            dist = best
+        far = int(dist.max())
+        if far <= s:
+            return far
+        s = far if far < unreached else 2 * s
+
+
+def shortest_vector_pow(basis: Sequence[Sequence[int]], p: int) -> int:
+    """Pow-norm of a shortest nonzero lattice vector: the least norm of a
+    nonzero ball point with label 0.  At the first s with mu(s) > det two
+    ball points share a coset, and their difference is a lattice vector
+    of pow-norm at most 2^p * s, so doubling s from there finds one."""
+    h = hnf(basis)
+    n = len(h)
+    s = algorithm_radii(n, p, det(h))[1]
+    while True:
+        pts, norms = _ball(n, p, s)
+        found = norms[1:][coset_labels(h, pts[1:]) == 0]
+        if len(found):
+            return int(found[0])
+        s = successor(n, p, 2 * s)
 
 
 def real_covering_radius_2d_euclidean(basis: Sequence[Sequence[int]]) -> float:
@@ -104,8 +175,6 @@ def real_covering_radius_2d_euclidean(basis: Sequence[Sequence[int]]) -> float:
         )
     volume = abs(det(b))
     if volume == 0:
-        from .errors import SingularMatrixError
-
         raise SingularMatrixError("rows are linearly dependent")
 
     def n2(v: tuple[int, int]) -> int:

@@ -154,6 +154,17 @@ def successor(n: int, p: int, s: int) -> int:
             limit *= 4
 
 
+def algorithm_radii(n: int, p: int, volume: int) -> tuple[int, int]:
+    """(s_r, s_R): the largest pow-radius whose ball has at most `volume`
+    points, and its distance-set successor."""
+    s = 0
+    nxt = successor(n, p, 0)
+    while mu(n, p, nxt) <= volume:
+        s = nxt
+        nxt = successor(n, p, nxt)
+    return s, nxt
+
+
 def ball_points(n: int, p: int, s: int) -> list[Point]:
     """All z in Z^n with sum(|z_i|**p) <= s, in lexicographic order."""
     if s < 0:

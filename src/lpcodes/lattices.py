@@ -1,10 +1,10 @@
 """Integer lattices: HNF, sublattice enumeration, canonical congruence
-forms, shortest vectors and exact closest-point distances.
+forms, coset labels, and exact closest-point distances (a test oracle).
 
 Bases are plain tuples of row tuples; rows generate the lattice.  All
 arithmetic is on Python ints, which are arbitrary precision, so the
 products appearing at n = 3, volumes ~1500 (and far beyond) are exact
-with no overflow concerns.
+with no overflow concerns; only the coset labels are int64.
 
 The Hermite normal form used throughout is row-style: upper triangular,
 positive diagonal d_1..d_n, and 0 <= entry(i, j) < d_j for i < j.  Each
@@ -19,12 +19,14 @@ from functools import cache
 from itertools import permutations, product
 from typing import Iterator, Sequence
 
+import numpy as np
+from numpy.typing import ArrayLike
+
 from .balls import iroot
 from .errors import SingularMatrixError
 
 Row = tuple[int, ...]
 Basis = tuple[Row, ...]
-Point = tuple[int, ...]
 
 
 def as_basis(rows: Sequence[Sequence[int]]) -> Basis:
@@ -95,19 +97,6 @@ def hnf(basis: Sequence[Sequence[int]]) -> Basis:
             if q:
                 rows[i] = [a - q * c for a, c in zip(rows[i], rows[col])]
     return tuple(tuple(r) for r in rows)
-
-
-def is_hnf(basis: Sequence[Sequence[int]]) -> bool:
-    b = as_basis(basis)
-    n = len(b)
-    for i in range(n):
-        if b[i][i] <= 0:
-            return False
-        if any(b[i][j] != 0 for j in range(i)):
-            return False
-        if any(not 0 <= b[k][i] < b[i][i] for k in range(i)):
-            return False
-    return True
 
 
 def _ordered_factorizations(m: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -184,31 +173,27 @@ def canonical_form(basis: Sequence[Sequence[int]]) -> Basis:
     return min(hnf(apply_transform(t, b)) for t in signed_permutations(len(b)))
 
 
-def coset_representatives(hnf_basis: Sequence[Sequence[int]]) -> Iterator[Point]:
-    """One point per coset of the lattice in Z^n: the box
-    {0..d_1-1} x ... x {0..d_n-1} over the HNF diagonal."""
-    b = as_basis(hnf_basis)
-    for pt in product(*(range(b[i][i]) for i in range(len(b)))):
-        yield pt
+def coset_labels(hnf_basis: Sequence[Sequence[int]], points: ArrayLike) -> np.ndarray:
+    """Coset index in [0, det) of every row of `points`, as int64 (so
+    det must stay below 2^63).
 
-
-def coset_label(hnf_basis: Sequence[Sequence[int]], point: Sequence[int]) -> Point:
-    """Reduce a point into the HNF diagonal box; two points get the same
-    label iff they lie in the same coset of the lattice."""
+    Each row is reduced down the HNF diagonal into the box
+    0 <= v_i < d_i, which is read as a mixed-radix number with the first
+    coordinate most significant; two points get the same label iff they
+    lie in the same coset of the lattice.
+    """
     b = as_basis(hnf_basis)
-    n = len(b)
-    v = [int(x) for x in point]
-    for i in range(n):
-        q = v[i] // b[i][i]
-        if q:
-            for j in range(i, n):
-                v[j] -= q * b[i][j]
-    return tuple(v)
+    v = np.array(points, dtype=np.int64).reshape(-1, len(b))
+    labels = np.zeros(len(v), dtype=np.int64)
+    for i, row in enumerate(b):
+        v[:, i:] -= (v[:, i] // row[i])[:, None] * np.array(row[i:], dtype=np.int64)
+        labels = labels * row[i] + v[:, i]
+    return labels
 
 
 def contains(hnf_basis: Sequence[Sequence[int]], point: Sequence[int]) -> bool:
     """Membership of an integer point in the lattice."""
-    return all(x == 0 for x in coset_label(hnf_basis, point))
+    return bool(coset_labels(hnf_basis, [point])[0] == 0)
 
 
 def _norm_pow(v: Sequence[int], p: int) -> int:
@@ -277,39 +262,4 @@ def closest_lattice_distance_pow(
                 partial[j] -= y * h[i][j]
 
     descend(0, 0)
-    return best
-
-
-def shortest_vector_pow(basis: Sequence[Sequence[int]], p: int) -> int:
-    """Pow-norm of a shortest nonzero lattice vector, by exact enumeration.
-
-    The shortest HNF row bounds the search radius; every lattice point
-    within that pow-norm is visited through the triangular structure.
-    """
-    h = hnf(basis)
-    n = len(h)
-    best = min(_norm_pow(row, p) for row in h)
-    partial = [0] * n
-
-    def descend(i: int, used: int, any_nonzero: bool) -> None:
-        nonlocal best
-        if i == n:
-            if any_nonzero and used < best:
-                best = used
-            return
-        d = h[i][i]
-        rem = best - used
-        k = iroot(rem, p)  # allow ties so an equal-length witness survives
-        lo = (-partial[i] - k + d - 1) // d
-        hi = (-partial[i] + k) // d
-        for y in range(lo, hi + 1):
-            for j in range(i, n):
-                partial[j] += y * h[i][j]
-            gap = abs(partial[i]) ** p
-            if used + gap <= best:
-                descend(i + 1, used + gap, any_nonzero or y != 0)
-            for j in range(i, n):
-                partial[j] -= y * h[i][j]
-
-    descend(0, 0, False)
     return best

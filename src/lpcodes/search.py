@@ -40,14 +40,13 @@ from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .analysis import CodeAnalysis, analyze, labels_are_distinct
-from .balls import ball_points, distance_set_at_least, mu, successor
+from .analysis import CodeAnalysis, analyze, first_in_coset, labels_are_distinct
+from .balls import algorithm_radii, ball_points, distance_set_at_least, mu, successor
 from .errors import VerificationError
 from .lattices import (
     Basis,
     _ordered_factorizations,
     canonical_form,
-    coset_label,
     det,
     enumerate_sublattices,  # not called here; perfbench/tracer.py patches this name
     hnf,
@@ -77,40 +76,33 @@ def covering_test(basis: Sequence[Sequence[int]], p: int, s: int) -> bool:
     """
     h = hnf(basis)
     volume = det(h)
-    n = len(h)
-    if mu(n, p, s) < volume:
-        return False
-    labels = {coset_label(h, pt) for pt in ball_points(n, p, s)}
-    return len(labels) == volume
-
-
-def algorithm_radii(n: int, p: int, volume: int) -> tuple[int, int]:
-    """(s_r, s_R): the largest pow-radius whose ball has at most `volume`
-    points, and its distance-set successor."""
-    s = 0
-    nxt = successor(n, p, 0)
-    while mu(n, p, nxt) <= volume:
-        s = nxt
-        nxt = successor(n, p, nxt)
-    return s, nxt
+    return mu(len(h), p, s) >= volume and (
+        np.count_nonzero(first_in_coset(h, p, s)[1]) == volume
+    )
 
 
 @cache
 def _ball_diffs(n: int, p: int, s: int) -> np.ndarray:
     """Nonzero differences of ball-point pairs, one representative per
-    {v, -v} pair (first nonzero coordinate positive), as an int64 array."""
+    {v, -v} pair (first nonzero coordinate positive), as a read-only
+    int64 array in lexicographic order.
+
+    A difference d in [-2k, 2k]^n, k = iroot(s, p), is marked in an
+    occupancy grid at key(d), the mixed-radix number with digits d_i + 2k;
+    key(d) > key(0) iff d's first nonzero coordinate is positive.
+    """
     pts = np.asarray(ball_points(n, p, s), dtype=np.int64).reshape(-1, n)
-    blocks = []
+    k = int(pts.max())
+    radix = 4 * k + 1
+    weights = radix ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    centre = 2 * k * int(weights.sum())
+    keys = pts @ weights
+    grid = np.zeros(radix**n, dtype=bool)
     step = 512
-    for i in range(0, len(pts), step):
-        d = (pts[i : i + step, None, :] - pts[None, :, :]).reshape(-1, n)
-        blocks.append(np.unique(d, axis=0))
-    diffs = np.unique(np.vstack(blocks), axis=0)
-    nonzero = diffs != 0
-    first = np.argmax(nonzero, axis=1)
-    lead = diffs[np.arange(len(diffs)), first]
-    keep = nonzero.any(axis=1) & (lead > 0)
-    out = diffs[keep]
+    for i in range(0, len(keys), step):
+        grid[(keys[i : i + step, None] - keys[None, :] + centre).ravel()] = True
+    keys = np.flatnonzero(grid[centre + 1 :]) + centre + 1
+    out = keys[:, None] // weights % radix - 2 * k
     out.setflags(write=False)
     return out
 

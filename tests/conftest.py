@@ -21,6 +21,20 @@ def canon_set(bases):
     return {canonical_form(b) for b in bases}
 
 
+def is_hnf(basis):
+    """True iff `basis` is in row-style Hermite normal form: upper
+    triangular, positive diagonal, and 0 <= entry(i, j) < d_j above it."""
+    n = len(basis)
+    for i in range(n):
+        if basis[i][i] <= 0:
+            return False
+        if any(basis[i][j] != 0 for j in range(i)):
+            return False
+        if any(not 0 <= basis[k][i] < basis[i][i] for k in range(i)):
+            return False
+    return True
+
+
 def brute_dist_pow_2d(hnf, p, x, y):
     """Exact min over the lattice of |probe - point|_p^p.
 

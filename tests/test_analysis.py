@@ -1,14 +1,19 @@
 """Per-lattice analysis against from-scratch oracles.
 
-The headline checks mirror the library's two independent routes with a
-third one: packing radius by literal ball-disjointness over lattice
+The library labels points by coset: it reads the packing radius off one
+labelled ball and builds the covering radius one axis at a time over the
+coset labels.  The headline checks use routes that share nothing with
+either: packing radius by literal ball-disjointness over lattice
 translates, covering radius by maximizing nearest-translate distances
-over a full residue system (conftest helpers, no library calls).
+over a full residue system (conftest helpers, no library calls), and
+covering radius again through the branch-and-bound closest-vector
+search, once per coset of the HNF box.
 """
 
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -20,7 +25,12 @@ from lpcodes.analysis import (
     real_covering_radius_2d_euclidean,
 )
 from lpcodes.balls import distance_set, distance_set_at_least, mu
-from lpcodes.lattices import det, enumerate_sublattices, hnf
+from lpcodes.lattices import (
+    closest_lattice_distance_pow,
+    det,
+    enumerate_sublattices,
+    hnf,
+)
 from lpcodes.search import covering_test
 
 from conftest import (
@@ -58,6 +68,15 @@ class TestPackingOracle:
                 r = packing_radius_pow(h, 2)
                 assert r == brute_packing_pow(h, 2, dset), h
 
+    @pytest.mark.parametrize(
+        "n,p,volume_hi", [(2, 1, 30), (2, 3, 30), (2, 4, 30), (3, 1, 12), (3, 2, 12)]
+    )
+    def test_packing_radius_matches_brute_every_sublattice(self, n, p, volume_hi):
+        dset = distance_set(n, p, 256).elements
+        for m in range(1, volume_hi + 1):
+            for h in enumerate_sublattices(n, m):
+                assert packing_radius_pow(h, p) == brute_packing_pow(h, p, dset), h
+
     def test_injectivity_test_itself(self):
         rng = random.Random(5)
         for _ in range(40):
@@ -77,6 +96,33 @@ class TestCoveringOracle:
             p = rng.choice((1, 2, 3))
             assert covering_radius_pow(h, p) == brute_covering_pow(h, p), (h, p)
 
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n,volume_hi", [(2, 24), (3, 10), (4, 6)])
+    def test_covering_radius_matches_closest_vector_search(self, n, p, volume_hi):
+        """The labelled-ball covering radius against the largest exact
+        closest-point distance over the HNF box, one point per coset."""
+        for m in range(1, volume_hi + 1):
+            for h in enumerate_sublattices(n, m):
+                box = product(*(range(h[i][i]) for i in range(n)))
+                want = max(closest_lattice_distance_pow(h, p, x) for x in box)
+                assert covering_radius_pow(h, p) == want, (h, p)
+
+    @pytest.mark.parametrize(
+        "basis,p,want",
+        [
+            (((1, 0), (0, 2000)), 2, 1000**2),
+            (((2, 0), (0, 1999)), 3, 1 + 999**3),
+            (((1, 0, 0), (0, 1, 0), (0, 0, 100)), 2, 50**2),
+            (((1, 0, 0), (0, 1, 0), (0, 0, 301)), 1, 150),
+        ],
+    )
+    def test_thin_cells(self, basis, p, want):
+        """Rectangular lattices with one long side: a coset's nearest
+        point differs from it along the axes only, so the covering radius
+        is the sum of (d_i // 2)^p.  The covering radius lies far outside
+        a ball of about det points here."""
+        assert covering_radius_pow(basis, p) == want
+
     def test_covering_test_equivalence(self):
         """covering_test(s) holds exactly when the covering radius is at
         most s, for attainable s around the threshold."""
@@ -90,6 +136,22 @@ class TestCoveringOracle:
                 if s > 2 * R:
                     break
                 assert covering_test(h, p, s) == (s >= R), (b, s)
+
+
+class TestNormsPastInt64:
+    """At p = 41 a coordinate of 3 already has a pow-norm above 2^63, so
+    the radii must stay exact past the int64 range."""
+
+    def test_radii_match_oracles(self):
+        p = 41
+        dset = distance_set(2, p, 4 * 5**p).elements
+        for m in range(1, 13):
+            for h in enumerate_sublattices(2, m):
+                box = product(range(h[0][0]), range(h[1][1]))
+                want = max(closest_lattice_distance_pow(h, p, x) for x in box)
+                assert covering_radius_pow(h, p) == want, h
+                assert packing_radius_pow(h, p) == brute_packing_pow(h, p, dset), h
+        assert covering_radius_pow(((1, 0), (0, 7)), p) == 3**p > 2**63
 
 
 class TestImperfection:

@@ -53,6 +53,14 @@ class TestFamilyA:
                 assert a.t == spec.predicted_t, (r, p)
                 assert a.disc_pack_density == spec.predicted_disc_density, (r, p)
 
+    def test_prediction_verified_with_radii_past_int64(self):
+        """r = 24, p = 17: radii near 24^17, above 2^63."""
+        spec = family("A", 24, 17)
+        a = analyze(spec.basis, 17)
+        assert spec.det == 2280 and a.R_pow > 2**63
+        assert a.t == spec.predicted_t == 22
+        assert a.disc_pack_density == spec.predicted_disc_density
+
     def test_below_threshold_raises(self):
         for r in (3, 5, 8):
             with pytest.raises(HypothesisViolatedError):

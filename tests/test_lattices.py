@@ -1,4 +1,4 @@
-"""Lattice layer: HNF, enumeration, congruence canonicalization, cosets,
+"""Lattice layer: HNF, enumeration, congruence canonicalization, coset labels,
 shortest vectors, exact closest-point distances.
 
 Counting oracles are the divisor sums implied by the HNF free entries;
@@ -6,30 +6,30 @@ distance oracles are the nearest-translate brute force in conftest.
 """
 
 import random
+from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpcodes.balls import distance_set
 from lpcodes.errors import SingularMatrixError
+from lpcodes.analysis import shortest_vector_pow
 from lpcodes.lattices import (
     apply_transform,
     canonical_form,
     closest_lattice_distance_pow,
     contains,
-    coset_label,
-    coset_representatives,
+    coset_labels,
     det,
     enumerate_sublattices,
     hnf,
-    is_hnf,
-    shortest_vector_pow,
     signed_permutations,
     sublattice_count,
 )
 
-from conftest import brute_dist_pow
+from conftest import brute_dist_pow, is_hnf
 
 
 def _sigma(m):
@@ -170,32 +170,33 @@ class TestCosets:
     def test_representatives_count_and_labels(self):
         for b in (((1, 5), (0, 24)), ((2, 3), (0, 6)), ((1, 0, 2), (0, 1, 3), (0, 0, 7))):
             h = hnf(b)
-            reps = list(coset_representatives(h))
-            assert len(reps) == det(h)
-            labels = {coset_label(h, r) for r in reps}
-            assert len(labels) == len(reps)
-            for r in reps:
-                assert coset_label(h, r) == r
+            box = list(product(*(range(h[i][i]) for i in range(len(h)))))
+            labels = coset_labels(h, box)
+            assert labels.dtype == np.int64
+            assert labels.tolist() == list(range(det(h)))
 
     def test_label_is_lattice_periodic(self):
         rng = random.Random(31)
         h = hnf(((2, 3), (0, 6)))
+        pts, shifted = [], []
         for _ in range(50):
             pt = (rng.randint(-20, 20), rng.randint(-20, 20))
             i, j = rng.randint(-4, 4), rng.randint(-4, 4)
-            shift = (
-                pt[0] + i * h[0][0] + j * h[1][0],
-                pt[1] + i * h[0][1] + j * h[1][1],
+            pts.append(pt)
+            shifted.append(
+                (
+                    pt[0] + i * h[0][0] + j * h[1][0],
+                    pt[1] + i * h[0][1] + j * h[1][1],
+                )
             )
-            assert coset_label(h, pt) == coset_label(h, shift)
+        assert coset_labels(h, pts).tolist() == coset_labels(h, shifted).tolist()
 
     def test_contains_matches_label(self):
         h = hnf(((1, 4), (0, 9)))
         rng = random.Random(37)
-        for _ in range(60):
-            pt = (rng.randint(-15, 15), rng.randint(-15, 15))
-            origin_coset = coset_label(h, pt) == (0, 0)
-            assert contains(h, pt) == origin_coset
+        pts = [(rng.randint(-15, 15), rng.randint(-15, 15)) for _ in range(60)]
+        for pt, label in zip(pts, coset_labels(h, pts)):
+            assert contains(h, pt) == (label == 0)
 
 
 class TestDistances:

@@ -16,6 +16,7 @@ import dataclasses
 import json
 from functools import cache
 
+import numpy as np
 import pytest
 
 import lpcodes.search
@@ -108,7 +109,11 @@ class TestPrimitives:
                 assert s_R == successor(n, p, s_r)
 
     def test_ball_diffs_match_direct_enumeration(self):
-        for n, p, s in ((2, 2, 4), (3, 2, 2), (2, 3, 8)):
+        cases = (
+            (2, 2, 4), (3, 2, 2), (2, 3, 8), (1, 2, 9), (1, 1, 3),
+            (4, 2, 2), (4, 1, 1), (1, 2, 0), (2, 2, 0), (4, 2, 0),
+        )
+        for n, p, s in cases:
             pts = ball_points(n, p, s)
             want = set()
             for a in pts:
@@ -117,8 +122,11 @@ class TestPrimitives:
                     if any(d):
                         lead = next(v for v in d if v)
                         want.add(d if lead > 0 else tuple(-v for v in d))
-            got = {tuple(int(v) for v in row) for row in _ball_diffs(n, p, s)}
-            assert got == want
+            diffs = _ball_diffs(n, p, s)
+            assert diffs.dtype == np.int64 and diffs.shape == (len(want), n)
+            assert not diffs.flags.writeable
+            rows = [tuple(int(v) for v in row) for row in diffs]
+            assert rows == sorted(want), (n, p, s)
 
 
 class TestSieve:
