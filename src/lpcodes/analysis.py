@@ -12,7 +12,8 @@ coset to the lattice, can lie far outside a ball of about det points
 (a thin cell), so it is built one axis at a time over an array of det
 coset labels instead.  The tests check these against routes that share
 nothing with this one: literal ball disjointness, and closest-point
-searches over a full residue system.
+searches over a full residue system.  The radius and label routines
+take the HNF they are given; `analyze` alone normalizes its input.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .lattices import (
     coset_labels,
     det,
     hnf,
+    hnf_det,
 )
 
 
@@ -79,16 +81,17 @@ def first_in_coset(hnf_basis: Basis, p: int, s: int) -> tuple[np.ndarray, np.nda
     return norms, first
 
 
-def labels_are_distinct(hnf_basis: Basis, p: int, s: int, volume: int) -> bool:
+def labels_are_distinct(hnf_basis: Basis, p: int, s: int) -> bool:
     """True iff the ball of pow-radius s maps injectively onto cosets.
 
     Pigeonhole first: more ball points than cosets can never inject.
     """
-    n = len(hnf_basis)
-    return mu(n, p, s) <= volume and bool(first_in_coset(hnf_basis, p, s)[1].all())
+    return mu(len(hnf_basis), p, s) <= hnf_det(hnf_basis) and bool(
+        first_in_coset(hnf_basis, p, s)[1].all()
+    )
 
 
-def packing_radius_pow(basis: Sequence[Sequence[int]], p: int) -> int:
+def packing_radius_pow(hnf_basis: Basis, p: int) -> int:
     """Largest pow-radius in the distance set whose lattice translates of
     the ball are pairwise disjoint.
 
@@ -96,16 +99,15 @@ def packing_radius_pow(basis: Sequence[Sequence[int]], p: int) -> int:
     translates stay disjoint exactly below the least norm of a point
     that is not first in its coset.
     """
-    h = hnf(basis)
-    n = len(h)
-    _, s = algorithm_radii(n, p, det(h))
-    norms, first = first_in_coset(h, p, s)
+    n = len(hnf_basis)
+    _, s = algorithm_radii(n, p, hnf_det(hnf_basis))
+    norms, first = first_in_coset(hnf_basis, p, s)
     clash = int(norms[~first][0])
     elements = _dset(n, p, clash).elements
     return elements[bisect_left(elements, clash) - 1]
 
 
-def covering_radius_pow(basis: Sequence[Sequence[int]], p: int) -> int:
+def covering_radius_pow(hnf_basis: Basis, p: int) -> int:
     """Smallest pow-radius whose lattice translates of the ball cover Z^n:
     the largest over cosets of the least sum of |z_i|^p over the coset.
 
@@ -117,12 +119,11 @@ def covering_radius_pow(basis: Sequence[Sequence[int]], p: int) -> int:
     bound, becomes the cap (s doubles while a coset is unreached).
     Memory is O(det) however thin the cell.
     """
-    h = hnf(basis)
-    n = len(h)
-    volume = det(h)
-    box = np.indices([h[i][i] for i in range(n)]).reshape(n, -1).T
+    n = len(hnf_basis)
+    volume = hnf_det(hnf_basis)
+    box = np.indices([hnf_basis[i][i] for i in range(n)]).reshape(n, -1).T
     moved = (box[:, None, :] + np.eye(n, dtype=np.int64)).reshape(-1, n)
-    ups = coset_labels(h, moved).reshape(volume, n).T  # label of c + e_i
+    ups = coset_labels(hnf_basis, moved).reshape(volume, n).T  # label of c + e_i
     downs = np.argsort(ups, axis=1)  # the inverse permutations: c - e_i
     s = algorithm_radii(n, p, volume)[1]
     while True:
@@ -144,17 +145,16 @@ def covering_radius_pow(basis: Sequence[Sequence[int]], p: int) -> int:
         s = far if far < unreached else 2 * s
 
 
-def shortest_vector_pow(basis: Sequence[Sequence[int]], p: int) -> int:
+def shortest_vector_pow(hnf_basis: Basis, p: int) -> int:
     """Pow-norm of a shortest nonzero lattice vector: the least norm of a
     nonzero ball point with label 0.  At the first s with mu(s) > det two
     ball points share a coset, and their difference is a lattice vector
     of pow-norm at most 2^p * s, so doubling s from there finds one."""
-    h = hnf(basis)
-    n = len(h)
-    s = algorithm_radii(n, p, det(h))[1]
+    n = len(hnf_basis)
+    s = algorithm_radii(n, p, hnf_det(hnf_basis))[1]
     while True:
         pts, norms = _ball(n, p, s)
-        found = norms[1:][coset_labels(h, pts[1:]) == 0]
+        found = norms[1:][coset_labels(hnf_basis, pts[1:]) == 0]
         if len(found):
             return int(found[0])
         s = successor(n, p, 2 * s)
@@ -230,7 +230,7 @@ def analyze(basis: Sequence[Sequence[int]], p: int) -> CodeAnalysis:
     """Full per-lattice report; every integer field is exact."""
     h = hnf(basis)
     n = len(h)
-    volume = det(h)
+    volume = hnf_det(h)
     r_pow = packing_radius_pow(h, p)
     R_pow = covering_radius_pow(h, p)
     t = _dset(n, p, R_pow).gap_count(r_pow, R_pow)

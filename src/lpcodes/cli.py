@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -40,8 +41,9 @@ from .search import (
     CSV_FIELDS,
     SearchQuery,
     _SIEVES,
+    _append_checkpoint,
     analysis_display,
-    compact_basis,
+    csv_row,
     fraction_str,
     jobs_from_env,
     load_checkpoint,
@@ -60,24 +62,23 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type for integers >= low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+_positive_int = _int_at_least(1)
+_nonneg_int = _int_at_least(0)
 
 
 def parse_basis(text: str, flag: str = "--basis") -> tuple[tuple[int, ...], ...]:
@@ -133,9 +134,7 @@ def _cmd_analyze(args: argparse.Namespace) -> str:
         return _json_text(
             {"basis": [list(row) for row in basis], "analysis": analysis_display(a)}
         )
-    d = analysis_display(a)
-    d["basis"] = compact_basis(a.hnf_basis)
-    return _csv_text(CSV_FIELDS, [{k: d[k] for k in CSV_FIELDS}])
+    return _csv_text(CSV_FIELDS, [csv_row(a)])
 
 
 # ----------------------------------------------------------------- search
@@ -164,7 +163,8 @@ def _cmd_search(args: argparse.Namespace) -> str:
     if args.checkpoint:
         try:
             load_checkpoint(args.checkpoint, query)
-        except ValueError as exc:
+            _append_checkpoint(args.checkpoint, query).close()
+        except (ValueError, OSError) as exc:
             raise CliError(f"--checkpoint: {exc}")
     report = run_search(query, jobs=jobs, checkpoint=args.checkpoint)
     if args.format == "json":
@@ -245,8 +245,8 @@ def _bound_csv_row(row, with_theta8: bool = True) -> dict:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> str:
-    if args.theta_min <= 1.0:
-        raise CliError(f"--theta-min: must exceed 1, got {args.theta_min}")
+    if not 1.0 < args.theta_min < math.inf:
+        raise CliError(f"--theta-min: must be finite and > 1, got {args.theta_min}")
     report = bound_report(args.dim, args.p, args.theta_min, args.mode)
     text = _csv_text(_BOUND_FIELDS, [_bound_csv_row(row) for row in report.rows])
     text += f"# r_pow_max={report.r_pow_max}\n"

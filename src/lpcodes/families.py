@@ -14,7 +14,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Sequence
+from typing import Literal
 
 from .balls import distance_set_at_least, mu, successor, unit_ball_volume
 from .errors import HypothesisViolatedError
@@ -238,8 +238,8 @@ def _feasible_scan(
     it wiggles locally, so the scan only stops after a run of consecutive
     failures spanning [s, 4s].
     """
-    if theta_min <= 1.0:
-        raise ValueError("theta_min must exceed 1")
+    if not 1.0 < theta_min < math.inf:
+        raise ValueError("theta_min must be finite and exceed 1")
     if inequality not in (7, 8):
         raise ValueError("inequality must be 7 or 8")
     feasible: list[int] = []
@@ -297,13 +297,11 @@ def bound_report(
     p: int,
     theta_min: float,
     mode: Literal["perfect", "quasiperfect"] = "quasiperfect",
-    rows_r_pow: Sequence[int] | None = None,
 ) -> BoundReport:
-    """Bundle the feasibility scan into a report; rows default to the
-    feasible pow-radii (all of them)."""
+    """Bundle the feasibility scan into a report, one row per feasible
+    pow-radius."""
     last_ok, feasible = _feasible_scan(n, p, theta_min, mode)
-    chosen = list(rows_r_pow) if rows_r_pow is not None else feasible
-    rows = tuple(bound_row(n, p, s, mode) for s in chosen)
+    rows = tuple(bound_row(n, p, s, mode) for s in feasible)
     return BoundReport(
         n=n,
         p=p,

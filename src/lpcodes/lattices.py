@@ -9,7 +9,10 @@ with no overflow concerns; only the coset labels are int64.
 The Hermite normal form used throughout is row-style: upper triangular,
 positive diagonal d_1..d_n, and 0 <= entry(i, j) < d_j for i < j.  Each
 sublattice of Z^n has exactly one such basis, which makes the HNF both
-the equality test and the enumeration order.
+the equality test and the enumeration order.  Routines that take an
+`hnf_basis` trust it, and read the index off the diagonal (`hnf_det`);
+`det` is for general bases.  Canonical forms try half the signed
+permutations, those with first output sign +1, because -L = L.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
+from math import prod
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -60,6 +64,11 @@ def det(basis: Sequence[Sequence[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def hnf_det(hnf_basis: Sequence[Sequence[int]]) -> int:
+    """Index of the lattice of an HNF basis: the product of its diagonal."""
+    return prod(row[i] for i, row in enumerate(hnf_basis))
 
 
 def hnf(basis: Sequence[Sequence[int]]) -> Basis:
@@ -168,9 +177,11 @@ def canonical_form(basis: Sequence[Sequence[int]]) -> Basis:
     """Canonical representative of the congruence class of the lattice:
     the lexicographically smallest HNF over all signed coordinate
     permutations.  Two lattices are congruent iff their canonical forms
-    are equal."""
+    are equal.  A transform and its negation give L and -L = L, so only
+    those with first output sign +1 are tried: 2^(n-1) * n! HNFs."""
     b = as_basis(basis)
-    return min(hnf(apply_transform(t, b)) for t in signed_permutations(len(b)))
+    half = (t for t in signed_permutations(len(b)) if t[0][1] > 0)
+    return min(hnf(apply_transform(t, b)) for t in half)
 
 
 def coset_labels(hnf_basis: Sequence[Sequence[int]], points: ArrayLike) -> np.ndarray:
@@ -182,18 +193,12 @@ def coset_labels(hnf_basis: Sequence[Sequence[int]], points: ArrayLike) -> np.nd
     coordinate most significant; two points get the same label iff they
     lie in the same coset of the lattice.
     """
-    b = as_basis(hnf_basis)
-    v = np.array(points, dtype=np.int64).reshape(-1, len(b))
+    v = np.array(points, dtype=np.int64).reshape(-1, len(hnf_basis))
     labels = np.zeros(len(v), dtype=np.int64)
-    for i, row in enumerate(b):
+    for i, row in enumerate(hnf_basis):
         v[:, i:] -= (v[:, i] // row[i])[:, None] * np.array(row[i:], dtype=np.int64)
         labels = labels * row[i] + v[:, i]
     return labels
-
-
-def contains(hnf_basis: Sequence[Sequence[int]], point: Sequence[int]) -> bool:
-    """Membership of an integer point in the lattice."""
-    return bool(coset_labels(hnf_basis, [point])[0] == 0)
 
 
 def _norm_pow(v: Sequence[int], p: int) -> int:

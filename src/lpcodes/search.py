@@ -15,11 +15,12 @@ points lies in the lattice, so the difference set is computed once per
 diagonal, column by column, each difference left in the lattice by the
 earlier columns becomes one linear congruence on the next column's
 entries.  Losing candidates are never constructed, and one sieve serves
-every n <= 4.  Survivors face the covering test at s_cov, which all pass
-when s_cov reaches the cap or mu(r_min) = M; the rest are canonicalized,
-analyzed and kept when t <= k.  The analysis re-proves r >= r_min, R <=
-s_cov and, when r = s_r, t <= k, raising VerificationError if not.  No
-cap is the case r_min = 0, where every sublattice survives the sieve.
+every n <= 4.  Survivors are HNFs and face the covering test at s_cov as
+they are; all pass it when s_cov reaches the cap or mu(r_min) = M.  The
+passes are canonicalized, analyzed and kept when t <= k.  The analysis
+re-proves r >= r_min, R <= s_cov and, when r = s_r, t <= k, raising
+VerificationError if not.  No cap is the case r_min = 0, where every
+sublattice survives the sieve.
 
 Volumes are independent, so the search parallelizes over them; results
 are merged in volume order and finally sorted, making reports identical
@@ -36,7 +37,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import inf, prod
-from typing import Iterator, Sequence, TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -47,25 +48,17 @@ from .lattices import (
     Basis,
     _ordered_factorizations,
     canonical_form,
-    det,
     enumerate_sublattices,  # not called here; perfbench/tracer.py patches this name
-    hnf,
+    hnf_det,
     sublattice_count,
 )
 
-
-def injectivity_test(basis: Sequence[Sequence[int]], p: int, s: int) -> bool:
-    """True iff lattice translates of the ball of pow-radius s are
-    pairwise disjoint (all ball points land in distinct cosets).
-
-    Returns False immediately when mu(n,p,s) exceeds the volume; the
-    pigeonhole makes enumeration pointless.
-    """
-    h = hnf(basis)
-    return labels_are_distinct(h, p, s, det(h))
+# True iff lattice translates of the ball of pow-radius s are pairwise
+# disjoint.  No search path calls it; perfbench/tracer.py patches this name.
+injectivity_test = labels_are_distinct
 
 
-def covering_test(basis: Sequence[Sequence[int]], p: int, s: int) -> bool:
+def covering_test(hnf_basis: Basis, p: int, s: int) -> bool:
     """True iff every coset representative lies within pow-distance s of
     the lattice.
 
@@ -74,10 +67,9 @@ def covering_test(basis: Sequence[Sequence[int]], p: int, s: int) -> bool:
     label occurs among the ball labels.  Coverage therefore holds iff
     the ball points hit all det distinct labels.
     """
-    h = hnf(basis)
-    volume = det(h)
-    return mu(len(h), p, s) >= volume and (
-        np.count_nonzero(first_in_coset(h, p, s)[1]) == volume
+    volume = hnf_det(hnf_basis)
+    return mu(len(hnf_basis), p, s) >= volume and (
+        np.count_nonzero(first_in_coset(hnf_basis, p, s)[1]) == volume
     )
 
 
@@ -495,10 +487,12 @@ def compact_basis(basis: Basis) -> str:
     return ";".join(",".join(str(v) for v in row) for row in basis)
 
 
+def csv_row(a: CodeAnalysis) -> dict:
+    """One CSV row: the analysis display with the HNF basis compacted."""
+    d = analysis_display(a)
+    d["basis"] = compact_basis(a.hnf_basis)
+    return {k: d[k] for k in CSV_FIELDS}
+
+
 def report_csv_rows(report: SearchReport) -> list[dict]:
-    rows = []
-    for basis, a in report.hits:
-        d = analysis_display(a)
-        d["basis"] = compact_basis(basis)
-        rows.append({k: d[k] for k in CSV_FIELDS})
-    return rows
+    return [csv_row(a) for _, a in report.hits]

@@ -13,12 +13,29 @@ from itertools import product
 
 import pytest
 
-from lpcodes.lattices import canonical_form
+from lpcodes.lattices import (
+    apply_transform,
+    canonical_form,
+    coset_labels,
+    hnf,
+    signed_permutations,
+)
 
 
 def canon_set(bases):
     """Canonicalize an iterable of bases into a set of class labels."""
     return {canonical_form(b) for b in bases}
+
+
+def canonical_form_full_group(basis):
+    """The least HNF over all 2^n * n! signed coordinate permutations,
+    the negations included (the library tries only half of them)."""
+    return min(hnf(apply_transform(t, basis)) for t in signed_permutations(len(basis)))
+
+
+def contains(hnf_basis, point):
+    """Membership of an integer point in the lattice."""
+    return bool(coset_labels(hnf_basis, [point])[0] == 0)
 
 
 def is_hnf(basis):

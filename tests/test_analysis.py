@@ -83,7 +83,7 @@ class TestPackingOracle:
             m = rng.randint(2, 30)
             h = rng.choice(list(enumerate_sublattices(2, m)))
             s = rng.choice(distance_set(2, 2, 50).elements)
-            assert labels_are_distinct(h, 2, s, m) == brute_balls_disjoint(h, 2, s)
+            assert labels_are_distinct(h, 2, s) == brute_balls_disjoint(h, 2, s)
 
 
 class TestCoveringOracle:

@@ -138,6 +138,22 @@ class TestExitCodes:
         assert rc == 1
         assert "--theta-min" in err
 
+    @pytest.mark.parametrize("theta", ["nan", "inf"])
+    def test_bounds_reject_non_finite_theta(self, capsys, theta):
+        rc, out, err = run_cli(capsys, "bounds", "--dim", "2", "--p", "2",
+                               "--theta-min", theta)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: --theta-min:")
+
+    def test_search_unopenable_checkpoint_names_it(self, capsys, tmp_path):
+        ck = str(tmp_path / "missing_dir" / "ck.tsv")
+        rc, out, err = run_cli(capsys, "search", "--dim", "2", "--p", "2",
+                               "--max-volume", "10", "--checkpoint", ck)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: --checkpoint:")
+
     def test_family_hypothesis_violation(self, capsys):
         rc, _, err = run_cli(capsys, "family", "--kind", "C", "--r", "3",
                              "--p", "2")
@@ -350,6 +366,18 @@ class TestSearchCommand:
                              "--max-volume", "12", "--checkpoint", ck)
         assert rc == 0
         assert "resumed" in json.loads(out)["bound_provenance"]
+
+    def test_missing_checkpoint_ignores_a_leftover_header(self, capsys, tmp_path):
+        """A checkpoint file that is gone holds no records, so a header
+        file left beside it from another query does not block a fresh run."""
+        ck = tmp_path / "ck.tsv"
+        (tmp_path / "ck.tsv.query").write_text("n=4 p=2 t_max=1\n", encoding="utf-8")
+        args = ("search", "--dim", "2", "--p", "3", "--max-volume", "12")
+        _, fresh, _ = run_cli(capsys, *args)
+        rc, out, err = run_cli(capsys, *args, "--checkpoint", str(ck))
+        assert (rc, err) == (0, "")
+        assert out == fresh
+        assert (tmp_path / "ck.tsv.query").read_text() == "n=2 p=3 t_max=1\n"
 
 
 class TestPolyominoCommand:

@@ -20,16 +20,16 @@ from lpcodes.lattices import (
     apply_transform,
     canonical_form,
     closest_lattice_distance_pow,
-    contains,
     coset_labels,
     det,
     enumerate_sublattices,
     hnf,
+    hnf_det,
     signed_permutations,
     sublattice_count,
 )
 
-from conftest import brute_dist_pow, is_hnf
+from conftest import brute_dist_pow, canonical_form_full_group, contains, is_hnf
 
 
 def _sigma(m):
@@ -119,6 +119,7 @@ class TestEnumeration:
             for b in bases:
                 assert is_hnf(b)
                 assert det(b) == m
+                assert hnf_det(b) == m
 
     def test_counts_match_divisor_sums_3d(self):
         for m in (1, 2, 3, 4, 6, 8, 12, 15, 16, 18, 24, 27):
@@ -129,6 +130,7 @@ class TestEnumeration:
             for b in bases:
                 assert is_hnf(b)
                 assert det(b) == m
+                assert hnf_det(b) == m
 
 
 class TestCanonical:
@@ -159,6 +161,13 @@ class TestCanonical:
         # (negation composed with inversion maps one to the other)
         assert canonical_form(((1, 2), (0, 7))) == canonical_form(((1, 3), (0, 7)))
         assert canonical_form(((1, 2), (0, 7))) != canonical_form(((1, 1), (0, 7)))
+
+    @pytest.mark.parametrize("n,volume_hi", [(2, 40), (3, 12), (4, 4)])
+    def test_half_group_matches_full_group(self, n, volume_hi):
+        """-L = L, so dropping the negated transforms keeps the minimum."""
+        for m in range(1, volume_hi + 1):
+            for b in enumerate_sublattices(n, m):
+                assert canonical_form(b) == canonical_form_full_group(b), b
 
     def test_canonical_is_hnf_of_itself(self):
         c = canonical_form(((3, 1), (1, 2)))
