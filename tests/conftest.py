@@ -27,10 +27,11 @@ def canon_set(bases):
     return {canonical_form(b) for b in bases}
 
 
-def canonical_form_full_group(basis):
-    """The least HNF over all 2^n * n! signed coordinate permutations,
-    the negations included (the library tries only half of them)."""
-    return min(hnf(apply_transform(t, basis)) for t in signed_permutations(len(basis)))
+def congruence_orbit_full_group(basis):
+    """The HNFs of the lattice's images under all 2^n * n! signed
+    coordinate permutations, the negations included (the library tries
+    only half of them)."""
+    return {hnf(apply_transform(t, basis)) for t in signed_permutations(len(basis))}
 
 
 def contains(hnf_basis, point):

@@ -372,3 +372,35 @@ def test_criterion_09_closing_conjecture_out_of_reach():
         assert sig.parameters["volume_max"].default is inspect.Parameter.empty
         report = run_search(SearchQuery(2, 3, 1, 8))
         assert "[1, 8]" in report.bound_provenance
+
+
+# Least degree of imperfection t per volume, p=2, volumes 1, 2, ...: the
+# least t over all sublattices of Z^n with that index.  Not a table from
+# the paper: it was recorded from the uncapped search of this library and
+# is re-derived below, a prefix of it by the full analysis of every
+# sublattice, which shares nothing with the search but `analyze`.
+LEAST_T_2D_P2 = (
+    0, 1, 1, 1, 0, 1, 1, 1, 0, 2, 1, 1, 0, 1, 1, 1, 1, 1, 1, 1,
+    2, 2, 1, 1, 0, 3, 2, 2, 2, 2, 2, 3, 1, 1, 1, 2, 2, 2, 1, 2,
+    2, 1, 2, 2, 3, 2, 2, 3, 2, 3, 3, 2, 1, 3, 4, 4, 3, 2, 2, 3,
+    3, 3, 2, 3, 3, 3, 3, 2, 2, 3, 3, 2, 2, 3, 2, 3, 1, 2, 3, 3,
+    2, 2, 3, 3, 3, 3, 3, 3, 5, 4, 4, 4, 5, 3, 4, 4, 4, 4, 3, 6,
+)
+LEAST_T_3D_P2 = (0, 1, 1, 1, 1, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "n,table,oracle_hi", [(2, LEAST_T_2D_P2, 40), (3, LEAST_T_3D_P2, 10)]
+)
+def test_criterion_10_least_degree_of_imperfection(n, table, oracle_hi):
+    with criterion(10, f"least t per volume, n={n}, p=2 (self-consistent)"):
+        with budget(60.0):
+            report = run_search(SearchQuery(n, 2, 1, len(table), t_max=None))
+            least = {}
+            for _, a in report.hits:
+                least[a.det] = min(least.get(a.det, a.t), a.t)
+            assert tuple(least[m] for m in range(1, len(table) + 1)) == table
+            for m in range(1, oracle_hi + 1):
+                assert table[m - 1] == min(
+                    analyze(b, 2).t for b in enumerate_sublattices(n, m)
+                )

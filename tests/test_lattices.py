@@ -20,6 +20,7 @@ from lpcodes.lattices import (
     apply_transform,
     canonical_form,
     closest_lattice_distance_pow,
+    congruence_orbit,
     coset_labels,
     det,
     enumerate_sublattices,
@@ -29,7 +30,12 @@ from lpcodes.lattices import (
     sublattice_count,
 )
 
-from conftest import brute_dist_pow, canonical_form_full_group, contains, is_hnf
+from conftest import (
+    brute_dist_pow,
+    congruence_orbit_full_group,
+    contains,
+    is_hnf,
+)
 
 
 def _sigma(m):
@@ -163,11 +169,15 @@ class TestCanonical:
         assert canonical_form(((1, 2), (0, 7))) != canonical_form(((1, 1), (0, 7)))
 
     @pytest.mark.parametrize("n,volume_hi", [(2, 40), (3, 12), (4, 4)])
-    def test_half_group_matches_full_group(self, n, volume_hi):
-        """-L = L, so dropping the negated transforms keeps the minimum."""
+    def test_orbit_matches_full_group(self, n, volume_hi):
+        """-L = L, so the half group reaches every image that the full
+        group does, and the canonical form is the least of them."""
         for m in range(1, volume_hi + 1):
             for b in enumerate_sublattices(n, m):
-                assert canonical_form(b) == canonical_form_full_group(b), b
+                orbit = congruence_orbit(b)
+                assert orbit == congruence_orbit_full_group(b), b
+                assert b in orbit
+                assert canonical_form(b) == min(orbit)
 
     def test_canonical_is_hnf_of_itself(self):
         c = canonical_form(((3, 1), (1, 2)))

@@ -1,8 +1,11 @@
 """Pinned report bytes: the sha256 of stdout for a fixed set of CLI
 invocations, run in-process through `lpcodes.cli.main`.
 
-The digests were recorded at commit 6a054f4, before the change that made
-the radius and label routines take the HNF they are given.  A refactor
+The first twelve digests were recorded at commit 6a054f4, before the
+change that made the radius and label routines take the HNF they are
+given.  The last four (two `--no-dedupe` searches, 4-D to volume 14 and
+`--t-max 3`) were recorded at commit a480d3d, before the change that
+analyzes each congruence orbit of covering passes once.  A refactor
 that should leave every report byte-identical must leave these digests
 unchanged; a change that alters a report on purpose re-records the
 digest and says why.
@@ -64,6 +67,22 @@ PINNED = [
     (
         "bounds --dim 3 --p 2 --theta-min 1.4635",
         "6fc9114a538691aaee30e276acd1c77e7cbaabab1bc05943aeb6a22215b283ec",
+    ),
+    (
+        "search --dim 2 --p 2 --max-volume 60 --no-dedupe",
+        "d95df9196edd2598ead6401590f6c5d0f31df300cb7d96e7ec8b32870eabe5cb",
+    ),
+    (
+        "search --dim 3 --p 2 --max-volume 40 --no-dedupe",
+        "0b50742b97526ebb1cde973f43cd3abf21d8f8561a0e5551bf4494a12ff17eb5",
+    ),
+    (
+        "search --dim 4 --p 2 --max-volume 14",
+        "eeca082561d69824834b8568eead4094bdd94095d5a132529c60aefc1315e893",
+    ),
+    (
+        "search --dim 2 --p 2 --max-volume 60 --t-max 3",
+        "b5e0fd76f494b87e97f3ddc54a52ce0be28e0a75837137b3070ea07fa50a9516",
     ),
 ]
 

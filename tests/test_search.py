@@ -26,6 +26,7 @@ from lpcodes.analysis import analyze, covering_radius_pow
 from lpcodes.balls import ball_points, distance_set_at_least, mu, successor
 from lpcodes.lattices import (
     canonical_form,
+    congruence_orbit,
     enumerate_sublattices,
     hnf,
     sublattice_count,
@@ -376,6 +377,23 @@ class TestVerification:
         monkeypatch.setattr(lpcodes.search, "canonical_form", lambda b: ((1, 0), (0, 1)))
         with pytest.raises(VerificationError, match="index"):
             run_search(SearchQuery(2, 2, 1, 10))
+
+    def test_orbit_member_that_is_not_a_pass_raises(self, monkeypatch):
+        # Volume 7 has one orbit of four covering passes; the sieve yields
+        # ((1, 2), (0, 7)) first, and its orbit must be passes throughout.
+        rejected = ((1, 4), (0, 7))
+        assert rejected in congruence_orbit(((1, 2), (0, 7)))
+        covering = lpcodes.search.covering_test
+        seen = []
+
+        def all_but_one(basis, p, s):
+            seen.append(basis)
+            return basis != rejected and covering(basis, p, s)
+
+        monkeypatch.setattr(lpcodes.search, "covering_test", all_but_one)
+        with pytest.raises(VerificationError, match="failed the sieve or the covering"):
+            run_search(SearchQuery(2, 2, 1, 30))
+        assert rejected in seen
 
     def test_packing_radius_below_the_sieve_radius_raises(self, monkeypatch):
         # At volumes 21..30 (p=2) s_r >= 5, so r_min = pred(s_r) >= 4
