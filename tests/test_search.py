@@ -5,7 +5,8 @@ reference loop that enumerates every sublattice and analyzes each one
 directly, under every imperfection cap; that loop lives here and shares
 nothing with the sieve but the analyzer.  Volume by volume, the sieve's
 survivors must also be exactly the sublattices that pass the labeling
-injectivity test, and the covering-radius cap the pipeline relies on is
+injectivity test, every volume the Hermite screen skips must have no
+survivor, and the covering-radius cap the pipeline relies on is
 checked against the analyzer.  Determinism across worker counts,
 checkpoint resume semantics, dedupe behavior, and the serialization
 helpers each get their own checks, and the disputed rows of the bundled
@@ -15,6 +16,7 @@ helpers each get their own checks, and the disputed rows of the bundled
 import dataclasses
 import json
 from functools import cache
+from itertools import product
 
 import numpy as np
 import pytest
@@ -35,8 +37,11 @@ from lpcodes.search import (
     CSV_FIELDS,
     SearchCounts,
     SearchQuery,
+    _HERMITE,
     _SIEVES,
     _ball_diffs,
+    _hermite_screened,
+    _packing_floor,
     algorithm_radii,
     analysis_display,
     checkpoint_header,
@@ -158,6 +163,62 @@ class TestSieve:
                 if injectivity_test(b, p, s_r)
             }
             assert set(got) == want, volume
+
+
+class TestHermiteScreen:
+    """The Hermite screen skips the sieve at a volume only where the sieve
+    would find no survivor, and its floor T is the least squared norm of
+    a nonzero vector that is not a ball difference."""
+
+    def test_hermite_constants(self):
+        # gamma_n^n = 1, 4/3, 2, 4 (Conway and Sloane, Table 1.2).
+        assert _HERMITE == {1: (1, 1), 2: (4, 3), 3: (2, 1), 4: (4, 1)}
+        assert set(_HERMITE) == set(_SIEVES)
+
+    @pytest.mark.parametrize(
+        "n,p,s", [(1, 2, 9), (2, 2, 0), (2, 2, 13), (2, 3, 20), (3, 2, 5), (4, 1, 2)]
+    )
+    def test_floor_matches_direct_enumeration(self, n, p, s):
+        pts = ball_points(n, p, s)
+        diffs = {tuple(x - y for x, y in zip(a, b)) for a in pts for b in pts}
+        reach = 2 * max(max(a) for a in pts) + 1
+        box = product(range(-reach, reach + 1), repeat=n)
+        want = min(sum(v * v for v in d) for d in box if d not in diffs)
+        assert _packing_floor(n, p, s) == want
+
+    def test_floor_counts_vectors_outside_the_grid(self):
+        # At p = 2, s = 13 the grid is [-6, 6]^2.  Its least unmarked key
+        # has norm 61, but (0, 7) lies outside it with norm 49, and volume
+        # 47 (forced radius 13) has the survivor ((1, 7), (0, 47)) of norm
+        # 50, which a floor of 61 would screen.
+        assert _packing_floor(2, 2, 13) == 49
+        assert algorithm_radii(2, 2, 47)[0] == 13
+        assert ((1, 7), (0, 47)) in set(_SIEVES[2](47, _ball_diffs(2, 2, 13)))
+        assert _hermite_screened(2, 47, 61)
+        assert not _hermite_screened(2, 47, 49)
+
+    @pytest.mark.parametrize(
+        "n,p,volume_hi,screened",
+        [
+            (2, 1, 600, 0),
+            (2, 2, 600, 471),
+            (2, 3, 600, 220),
+            (2, 4, 600, 56),
+            (3, 1, 200, 0),
+            (3, 2, 200, 56),
+            (3, 3, 200, 51),
+            (4, 2, 40, 0),
+        ],
+    )
+    def test_screened_volumes_have_no_survivor(self, n, p, volume_hi, screened):
+        seen = 0
+        for volume in range(1, volume_hi + 1):
+            s_r, _ = algorithm_radii(n, p, volume)
+            if _hermite_screened(n, volume, _packing_floor(n, p, s_r)):
+                seen += 1
+                sieve = _SIEVES[n](volume, _ball_diffs(n, p, s_r))
+                assert next(sieve, None) is None, volume
+        assert seen == screened
 
 
 class TestCoveringCap:
