@@ -34,6 +34,7 @@ from .balls import (
     distance_set_at_least,
     iroot,
     mu,
+    real_root,
     successor,
     unit_ball_volume,
 )
@@ -238,7 +239,7 @@ def analyze(basis: Sequence[Sequence[int]], p: int) -> CodeAnalysis:
     mu_R = mu(n, p, R_pow)
     shortest = shortest_vector_pow(h, p)
     vol_ball = unit_ball_volume(n, p)
-    real_r = shortest ** (1.0 / p) / 2.0
+    real_r = real_root(shortest, p) / 2.0
     real_pack_density = vol_ball * real_r**n / volume
     if n == 2 and p == 2:
         real_R = real_covering_radius_2d_euclidean(h)

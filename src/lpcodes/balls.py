@@ -3,7 +3,7 @@
 A radius r is always carried around as the integer s = r**p (a "pow-radius"),
 so that membership of a point z in the ball, sum(|z_i|**p) <= s, is decided in
 integer arithmetic with no boundary ties.  The only floating point in this
-module is the unit-ball volume, which is genuinely a real quantity.
+module is the unit-ball volume and `real_root`, which are real quantities.
 """
 
 from __future__ import annotations
@@ -28,19 +28,23 @@ def iroot(s: int, p: int) -> int:
         raise ValueError("s must be nonnegative")
     if p < 1:
         raise ValueError("p must be a positive integer")
-    if p == 1:
-        return s
     if p == 2:
         return math.isqrt(s)
-    if s == 0:
-        return 0
-    # Float seed, then fix up; the loops run O(1) times for sane inputs.
-    k = max(int(round(s ** (1.0 / p))), 0)
-    while k > 0 and k**p > s:
-        k -= 1
-    while (k + 1) ** p <= s:
-        k += 1
+    # Seed above the root: 2^ceil(bits/p), or within a factor 1 + 2^(1-m)
+    # from the root of the top bits.  Newton steps then fall to the floor root.
+    m = s.bit_length() // (2 * p)
+    k = (iroot(s >> m * p, p) + 1) << m if m else 1 << -(-s.bit_length() // p)
+    while k**p > s:
+        k = ((p - 1) * k + s // k ** (p - 1)) // p
     return k
+
+
+def real_root(s: int, p: int) -> float:
+    """s ** (1 / p) as a float; past the float range through math.log."""
+    try:
+        return s ** (1.0 / p)
+    except OverflowError:
+        return math.exp(math.log(s) / p)
 
 
 @cache

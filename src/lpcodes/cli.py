@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from .analysis import analyze
-from .balls import ball_points, distance_set, mu, pow_radius_of
+from .balls import ball_points, distance_set, mu, pow_radius_of, real_root
 from .errors import DimensionUnsupportedError, SingularMatrixError
 from .families import (
     BEST_COVERING_DENSITY,
@@ -82,11 +82,14 @@ _nonneg_int = _int_at_least(0)
 
 
 def parse_basis(text: str, flag: str = "--basis") -> tuple[tuple[int, ...], ...]:
-    """Accept either JSON rows `[[1,5],[0,24]]` or compact `1,5;0,24`."""
+    """Accept either JSON rows `[[1,5],[0,24]]` or compact `1,5;0,24`;
+    every entry must be an integer (a JSON float or bool is refused)."""
     try:
         if text.lstrip().startswith("["):
             rows = json.loads(text)
-            basis = tuple(tuple(int(v) for v in row) for row in rows)
+            if any(type(v) is not int for row in rows for v in row):
+                raise ValueError("entries must be integers")
+            basis = tuple(tuple(row) for row in rows)
         else:
             basis = tuple(
                 tuple(int(v) for v in row.split(",")) for row in text.split(";")
@@ -180,7 +183,7 @@ def _cmd_ball(args: argparse.Namespace) -> str:
         "n": args.dim,
         "p": args.p,
         "r_pow": args.rpow,
-        "r": round(args.rpow ** (1.0 / args.p), 4),
+        "r": round(real_root(args.rpow, args.p), 4),
         "mu": mu(args.dim, args.p, args.rpow),
     }
     if args.list:

@@ -36,18 +36,18 @@ which is what the sieve would give, so reports are unchanged.  The full
 
 Every ball is invariant under the signed coordinate permutations, so the
 passes at one volume are a union of congruence orbits, and each orbit is
-analyzed once.  The first pending pass gives the canonical form, whose
-orbit (`congruence_orbit`) must contain that pass, proving the two
-congruent, and must hold pending passes only: a member that is not a
-pass means the sieve or the covering test is wrong.  Either failure
-raises VerificationError.  The orbit's one analysis re-proves r >= r_min,
-R <= s_cov and, when r = s_r, t <= k, raising VerificationError if not;
-it is kept when t <= k, once per member, so reports are the same as when
-every pass was analyzed.  On 4-D p=2 to volume 20, 15069 passes fall
-into 99 orbits, and the search takes 3 s instead of 111 s.
+built and analyzed once: the first pending pass gives the orbit
+(`congruence_orbit`), whose least member is the canonical form.  The
+orbit must contain that pass (the sieve yields HNFs), the canonical form
+must have index M, and every member must be a pending pass.  The one
+analysis re-proves r >= r_min, R <= s_cov and, when r = s_r, t <= k.
+Each failure raises VerificationError.  An orbit with t <= k gives one
+record (canonical form, analysis, orbit size), listed once in the report,
+or size times without dedupe.  On 4-D p=2 to volume 20, 15069 passes
+fall into 99 orbits, and the search takes 3 s instead of 111 s.
 
-Volumes are independent, so the search parallelizes over them; results
-are merged in volume order and finally sorted, making reports identical
+Volumes are independent, so the search parallelizes over them; the hits
+are finally sorted by (det, canonical form), making reports identical
 regardless of worker count.
 """
 
@@ -56,7 +56,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -66,12 +66,19 @@ from typing import Iterator, TextIO
 import numpy as np
 
 from .analysis import CodeAnalysis, analyze, first_in_coset, labels_are_distinct
-from .balls import algorithm_radii, ball_points, distance_set_at_least, mu, successor
+from .balls import (
+    algorithm_radii,
+    ball_points,
+    distance_set_at_least,
+    mu,
+    real_root,
+    successor,
+)
 from .errors import VerificationError
 from .lattices import (
     Basis,
     _ordered_factorizations,
-    canonical_form,
+    canonical_form,  # not called here; perfbench/tracer.py patches this name
     congruence_orbit,
     enumerate_sublattices,  # not called here; perfbench/tracer.py patches this name
     hnf_det,
@@ -295,8 +302,9 @@ class SearchReport:
 
 def _volume_task(
     args: tuple[int, int, int, int | None]
-) -> tuple[int, list[tuple[Basis, CodeAnalysis]], SearchCounts, int]:
-    """Process one volume; returns (volume, analyzed hits, counts, millis)."""
+) -> tuple[int, list[tuple[Basis, CodeAnalysis, int]], int, int, int]:
+    """Process one volume; returns (volume, orbit records, sieve
+    survivors, covering passes, millis)."""
     n, p, volume, t_max = args
     begin = time.monotonic()
     k = inf if t_max is None else t_max
@@ -327,17 +335,16 @@ def _volume_task(
         if everyone_covers or covering_test(basis, p, s_cov):
             passes.append(basis)
     pending = set(passes)
-    hits: list[tuple[Basis, CodeAnalysis]] = []
+    records: list[tuple[Basis, CodeAnalysis, int]] = []
     for basis in passes:
         if basis not in pending:
             continue
-        canon = canonical_form(basis)
-        orbit = congruence_orbit(canon)
+        orbit = congruence_orbit(basis)
+        canon = min(orbit)
         if basis not in orbit:
-            raise VerificationError(
-                f"canonical form {canon} (index {hnf_det(canon)}) is not"
-                f" congruent to {basis} (index {volume})"
-            )
+            raise VerificationError(f"the sieve yielded {basis}, which is not an HNF")
+        if hnf_det(canon) != volume:
+            raise VerificationError(f"canonical form {canon} is not of index {volume}")
         if not orbit <= pending:
             raise VerificationError(
                 f"{min(orbit - pending)} is congruent to the covering pass"
@@ -353,10 +360,9 @@ def _volume_task(
         if not a.mu_r <= a.det <= a.mu_R:
             raise VerificationError(f"mu_r <= det <= mu_R fails for {a}")
         if a.t <= k:
-            hits.extend([(canon, a)] * len(orbit))
+            records.append((canon, a, len(orbit)))
     millis = int((time.monotonic() - begin) * 1000.0)
-    counts = SearchCounts(sublattice_count(n, volume), inj, len(passes))
-    return volume, hits, counts, millis
+    return volume, records, inj, len(passes), millis
 
 
 def checkpoint_header(query: SearchQuery) -> str:
@@ -440,14 +446,14 @@ def run_search(
     skipped = [m for m in volumes if m in done and done[m][0] == 0]
     todo = [m for m in volumes if m not in done or done[m][0] != 0]
     tasks = [(query.n, query.p, m, query.t_max) for m in todo]
-    results: dict[int, tuple[list[tuple[Basis, CodeAnalysis]], SearchCounts, int]] = {}
+    results: list[tuple[list[tuple[Basis, CodeAnalysis, int]], int, int]] = []
     ck = _append_checkpoint(checkpoint, query) if checkpoint else None
 
     def consume(produced) -> None:
-        for volume, hits, counts, millis in produced:
-            results[volume] = (hits, counts, millis)
+        for volume, records, inj, cov, millis in produced:
+            results.append((records, inj, cov))
             if ck is not None:
-                ck.write(f"{volume}\t{len(hits)}\t{millis}\n")
+                ck.write(f"{volume}\t{sum(s for *_, s in records)}\t{millis}\n")
                 ck.flush()
 
     try:
@@ -459,23 +465,14 @@ def run_search(
     finally:
         if ck is not None:
             ck.close()
-    all_hits: list[tuple[Basis, CodeAnalysis]] = []
-    enumerated = inj = cov = 0
-    for m in volumes:
-        if m in results:
-            hits, counts, _ = results[m]
-            all_hits.extend(hits)
-            enumerated += counts.enumerated
-            inj += counts.injectivity_survivors
-            cov += counts.covering_survivors
-        else:
-            enumerated += sublattice_count(query.n, m)
-    if query.dedupe:
-        merged: dict[Basis, CodeAnalysis] = {}
-        for basis, a in all_hits:
-            merged.setdefault(basis, a)
-        all_hits = list(merged.items())
-    all_hits.sort(key=lambda item: (item[1].det, item[0]))
+    # Orbits of a volume are disjoint, so no two records share a canonical form.
+    hits = [
+        (canon, a)
+        for records, _, _ in results
+        for canon, a, size in records
+        for _ in range(1 if query.dedupe else size)
+    ]
+    hits.sort(key=lambda item: (item[1].det, item[0]))
     provenance = (
         f"volume range [{query.volume_min}, {query.volume_max}] supplied by caller"
     )
@@ -486,8 +483,12 @@ def run_search(
         )
     return SearchReport(
         query=query,
-        hits=tuple(all_hits),
-        counts=SearchCounts(enumerated, inj, cov),
+        hits=tuple(hits),
+        counts=SearchCounts(
+            sum(sublattice_count(query.n, m) for m in volumes),
+            sum(inj for _, inj, _ in results),
+            sum(cov for _, _, cov in results),
+        ),
         bound_provenance=provenance,
     )
 
@@ -507,8 +508,8 @@ def analysis_display(a: CodeAnalysis) -> dict:
         "t": a.t,
         "r_pow": a.r_pow,
         "R_pow": a.R_pow,
-        "r": round(a.r_pow ** (1.0 / a.p), 4),
-        "R": round(a.R_pow ** (1.0 / a.p), 4),
+        "r": round(real_root(a.r_pow, a.p), 4),
+        "R": round(real_root(a.R_pow, a.p), 4),
         "mu_r": a.mu_r,
         "mu_R": a.mu_R,
         "disc_pack_density": fraction_str(a.disc_pack_density),
@@ -526,21 +527,9 @@ def analysis_display(a: CodeAnalysis) -> dict:
 
 
 def report_to_dict(report: SearchReport) -> dict:
-    q = report.query
     return {
-        "query": {
-            "n": q.n,
-            "p": q.p,
-            "volume_min": q.volume_min,
-            "volume_max": q.volume_max,
-            "t_max": q.t_max,
-            "dedupe": q.dedupe,
-        },
-        "counts": {
-            "enumerated": report.counts.enumerated,
-            "injectivity_survivors": report.counts.injectivity_survivors,
-            "covering_survivors": report.counts.covering_survivors,
-        },
+        "query": asdict(report.query),
+        "counts": asdict(report.counts),
         "bound_provenance": report.bound_provenance,
         "hits": [
             {"basis": [list(row) for row in basis], "analysis": analysis_display(a)}

@@ -21,6 +21,7 @@ from lpcodes.balls import (
     iroot,
     mu,
     pow_radius_of,
+    real_root,
     successor,
     unit_ball_volume,
 )
@@ -51,6 +52,33 @@ class TestIroot:
     def test_definition(self, s, p):
         k = iroot(s, p)
         assert k**p <= s < (k + 1) ** p
+
+
+    def test_matches_brute_force(self):
+        for p in range(1, 8):
+            k = 0
+            for s in range(20_000):
+                while (k + 1) ** p <= s:
+                    k += 1
+                assert iroot(s, p) == k, (s, p)
+
+    @pytest.mark.parametrize("p", [3, 7, 100, 1100])
+    def test_exact_past_the_float_range(self, p):
+        for k in (2 ** (1024 // p + 1) + 1, 10 ** (400 // p + 1) + 7):
+            s = k**p
+            assert s >= 2**1024
+            assert (iroot(s - 1, p), iroot(s, p), iroot(s + 1, p)) == (k - 1, k, k)
+
+
+class TestRealRoot:
+    def test_bit_identical_to_the_float_power_in_range(self):
+        for s in (0, 1, 2, 5, 10**17 + 3, 2**1023, 2**1024 - 2**971):
+            for p in (1, 2, 3, 4, 1100):
+                assert real_root(s, p) == s ** (1.0 / p)
+
+    def test_finite_past_the_float_range(self):
+        assert real_root(2**1100, 1100) == pytest.approx(2.0, rel=1e-12)
+        assert real_root(10**400, 2) == pytest.approx(1e200, rel=1e-12)
 
 
 class TestDistanceSet:

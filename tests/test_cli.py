@@ -207,6 +207,24 @@ class TestExitCodes:
         assert rc == 1
         assert "invalid choice" in err
 
+    @pytest.mark.parametrize("basis", ["[[1.5,0],[0,2]]", "[[true,0],[0,2]]"])
+    def test_non_integer_json_entry_names_basis(self, capsys, basis):
+        rc, out, err = run_cli(capsys, "analyze", "--dim", "2", "--p", "2",
+                               "--basis", basis)
+        assert rc == 1
+        assert out == ""
+        assert "--basis" in err
+
+    def test_huge_exponent_analyzes(self, capsys):
+        # R_pow = 2^1100 is past the float range, so neither the integer
+        # roots nor the display roots may go through float(R_pow).
+        rc, out, err = run_cli(capsys, "analyze", "--dim", "2", "--p", "1100",
+                               "--basis", "1,0;0,5")
+        assert (rc, err) == (0, "")
+        a = json.loads(out)["analysis"]
+        assert (a["r_pow"], a["R_pow"], a["t"]) == (0, 2**1100, 3)
+        assert (a["r"], a["R"], a["real_pack_radius"]) == (0.0, 2.0, 0.5)
+
     def test_internal_error_is_two(self, capsys, monkeypatch):
         def boom(args):
             raise RuntimeError("boom")

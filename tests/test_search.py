@@ -15,6 +15,7 @@ helpers each get their own checks, and the disputed rows of the bundled
 
 import dataclasses
 import json
+from collections import Counter
 from functools import cache
 from itertools import product
 
@@ -435,7 +436,11 @@ class TestVerification:
             run_search(SearchQuery(2, 2, 1, 6, t_max=None))
 
     def test_canonical_form_changing_the_index_raises(self, monkeypatch):
-        monkeypatch.setattr(lpcodes.search, "canonical_form", lambda b: ((1, 0), (0, 1)))
+        # An orbit whose least member, ((1, 0), (0, 1)), has index 1.
+        def wrong_orbit(basis):
+            return congruence_orbit(basis) | {((1, 0), (0, 1))}
+
+        monkeypatch.setattr(lpcodes.search, "congruence_orbit", wrong_orbit)
         with pytest.raises(VerificationError, match="index"):
             run_search(SearchQuery(2, 2, 1, 10))
 
@@ -475,6 +480,15 @@ class TestDedupe:
         assert {b for b, _ in rep_off.hits} == {b for b, _ in rep_on.hits}
         order = [(a.det, b) for b, a in rep_off.hits]
         assert order == sorted(order)
+
+    @pytest.mark.parametrize("n, volume_hi", [(2, 30), (3, 40)])
+    def test_each_class_repeats_once_per_orbit_member(self, n, volume_hi):
+        rep_on = run_search(SearchQuery(n, 2, 1, volume_hi))
+        rep_off = run_search(SearchQuery(n, 2, 1, volume_hi, dedupe=False))
+        copies = Counter(b for b, _ in rep_off.hits)
+        assert Counter(b for b, _ in rep_on.hits) == dict.fromkeys(copies, 1)
+        assert copies == {b: len(congruence_orbit(b)) for b in copies}
+        assert rep_on.counts == rep_off.counts
 
 
 class TestSerialization:
