@@ -16,7 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
 
-from .balls import distance_set_at_least, mu, successor, unit_ball_volume
+from .balls import (
+    distance_set_at_least,
+    mu,
+    real_root,
+    successor,
+    unit_ball_volume,
+)
 from .errors import HypothesisViolatedError
 from .lattices import Basis, det
 
@@ -200,8 +206,8 @@ def bound_row(
     if r_pow not in dset:
         raise ValueError(f"{r_pow} is not representable for (n={n}, p={p})")
     big_pow = r_pow if mode == "perfect" else successor(n, p, r_pow)
-    r = r_pow ** (1.0 / p)
-    big = big_pow ** (1.0 / p)
+    r = real_root(r_pow, p)
+    big = real_root(big_pow, p)
     nroot = n ** (1.0 / p)
     vol = unit_ball_volume(n, p)
     count = mu(n, p, r_pow)
@@ -287,7 +293,7 @@ def max_search_volume(
     last_ok, _ = _feasible_scan(n, p, theta_min, mode)
     nroot = n ** (1.0 / p)
     big_pow = last_ok if mode == "perfect" else successor(n, p, last_ok)
-    big = big_pow ** (1.0 / p)
+    big = real_root(big_pow, p)
     vol = unit_ball_volume(n, p)
     return math.floor(vol * (big + nroot / 2.0) ** n / theta_min)
 

@@ -196,21 +196,30 @@ def canonical_form(basis: Sequence[Sequence[int]]) -> Basis:
     return min(congruence_orbit(basis))
 
 
-def coset_labels(hnf_basis: Sequence[Sequence[int]], points: ArrayLike) -> np.ndarray:
+def coset_labels(hnf_basis: ArrayLike, points: ArrayLike) -> np.ndarray:
     """Coset index in [0, det) of every row of `points`, as int64 (so
     det must stay below 2^63).
 
     Each row is reduced down the HNF diagonal into the box
     0 <= v_i < d_i, which is read as a mixed-radix number with the first
     coordinate most significant; two points get the same label iff they
-    lie in the same coset of the lattice.
+    lie in the same coset of the lattice.  `hnf_basis` may also be a
+    stack of B HNFs of shape (B, n, n); the labels then have shape
+    (B, len(points)), row b under basis b.
     """
-    v = np.array(points, dtype=np.int64).reshape(-1, len(hnf_basis))
-    labels = np.zeros(len(v), dtype=np.int64)
-    for i, row in enumerate(hnf_basis):
-        v[:, i:] -= (v[:, i] // row[i])[:, None] * np.array(row[i:], dtype=np.int64)
-        labels = labels * row[i] + v[:, i]
-    return labels
+    h = np.asarray(hnf_basis, dtype=np.int64)
+    stack = h.reshape(-1, *h.shape[-2:])
+    n = stack.shape[-1]
+    # One (B, P) plane per coordinate, reduced as rows 0..n-1 are used.
+    v = list(np.asarray(points, dtype=np.int64).reshape(-1, n).T)
+    labels = 0
+    for i in range(n):
+        d = stack[:, i, i, None]
+        q, r = np.divmod(v[i], d)
+        for j in range(i + 1, n):
+            v[j] = v[j] - q * stack[:, i, j, None]
+        labels = labels * d + r
+    return labels if h.ndim == 3 else labels[0]
 
 
 def _norm_pow(v: Sequence[int], p: int) -> int:

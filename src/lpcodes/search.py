@@ -16,8 +16,11 @@ diagonal, column by column, each difference left in the lattice by the
 earlier columns becomes one linear congruence on the next column's
 entries.  Losing candidates are never constructed, and one sieve serves
 every n <= 4.  Survivors are HNFs and face the covering test at s_cov as
-they are; all pass it when s_cov reaches the cap or mu(r_min) = M.  No
-cap is the case r_min = 0, where every sublattice survives the sieve.
+they are, all of one volume at once: the ball at s_cov is labelled under
+a stack of survivors by one `coset_labels` call, and a survivor covers
+iff its row of labels meets every coset.  All pass when s_cov reaches
+the cap or mu(r_min) = M.  No cap is the case r_min = 0, where every
+sublattice survives the sieve.
 
 Most volumes of a long range have no survivor, and Hermite's inequality
 proves that without sieving.  A survivor contains no nonzero ball
@@ -33,6 +36,13 @@ volume M has no survivor, in integers, and the sieve is skipped.  The
 volume still counts its sublattice_count candidates and zero survivors,
 which is what the sieve would give, so reports are unchanged.  The full
 3-D p=2 range to 1419 skips 1198 of its volumes 201..1419 this way.
+The same argument screens each HNF diagonal (d_1, ..., d_n) of a volume
+that is sieved: the last m rows generate the lattice's vectors with n - m
+leading zeros, a rank-m lattice of index d_(n-m+1)...d_n, so for m < n
+a trailing block that Hermite rules out puts a difference in every
+lattice on that diagonal, and the diagonal is skipped unsieved.  On 3-D
+p=2 to volume 200 that skips 1669 of the 2551 diagonals sieved before,
+and unlike the volume screen it works at p = 1 too.
 
 Every ball is invariant under the signed coordinate permutations, so the
 passes at one volume are a union of congruence orbits, and each orbit is
@@ -44,7 +54,7 @@ analysis re-proves r >= r_min, R <= s_cov and, when r = s_r, t <= k.
 Each failure raises VerificationError.  An orbit with t <= k gives one
 record (canonical form, analysis, orbit size), listed once in the report,
 or size times without dedupe.  On 4-D p=2 to volume 20, 15069 passes
-fall into 99 orbits, and the search takes 3 s instead of 111 s.
+fall into 99 orbits, and the search takes under 1 s instead of 111 s.
 
 Volumes are independent, so the search parallelizes over them; the hits
 are finally sorted by (det, canonical form), making reports identical
@@ -59,13 +69,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import compress, islice, product
 from math import inf, prod
-from typing import Iterator, TextIO
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .analysis import CodeAnalysis, analyze, first_in_coset, labels_are_distinct
+from .analysis import CodeAnalysis, _ball, analyze, labels_are_distinct
 from .balls import (
     algorithm_radii,
     ball_points,
@@ -80,6 +90,7 @@ from .lattices import (
     _ordered_factorizations,
     canonical_form,  # not called here; perfbench/tracer.py patches this name
     congruence_orbit,
+    coset_labels,
     enumerate_sublattices,  # not called here; perfbench/tracer.py patches this name
     hnf_det,
     sublattice_count,
@@ -90,19 +101,36 @@ from .lattices import (
 injectivity_test = labels_are_distinct
 
 
-def covering_test(hnf_basis: Basis, p: int, s: int) -> bool:
-    """True iff every coset representative lies within pow-distance s of
-    the lattice.
+def covering_verdicts(hnf_bases: Sequence[Basis], p: int, s: int) -> np.ndarray:
+    """For HNF bases of one index: True where every coset representative
+    lies within pow-distance s of the lattice.
 
     Computed through labels: a point x has a lattice point within s iff
     some ball point b satisfies x - b in the lattice, i.e. iff x's coset
     label occurs among the ball labels.  Coverage therefore holds iff
-    the ball points hit all det distinct labels.
+    the ball points hit all det distinct labels.  The ball is labelled
+    under a stack of bases at a time, _COVER_CHUNK entries at most.
     """
-    volume = hnf_det(hnf_basis)
-    return mu(len(hnf_basis), p, s) >= volume and (
-        np.count_nonzero(first_in_coset(hnf_basis, p, s)[1]) == volume
-    )
+    out = np.zeros(len(hnf_bases), dtype=bool)
+    if not hnf_bases:
+        return out
+    n, volume = len(hnf_bases[0]), hnf_det(hnf_bases[0])
+    if mu(n, p, s) < volume:
+        return out
+    pts = _ball(n, p, s)[0]
+    size = max(1, _COVER_CHUNK // (len(pts) * n))
+    for lo in range(0, len(hnf_bases), size):
+        labels = coset_labels(np.array(hnf_bases[lo : lo + size]), pts)
+        seen = np.zeros((len(labels), volume), dtype=bool)
+        seen[np.arange(len(labels))[:, None], labels] = True
+        out[lo : lo + size] = seen.all(axis=1)
+    return out
+
+
+def covering_test(hnf_basis: Basis, p: int, s: int) -> bool:
+    """True iff every coset representative of one HNF basis lies within
+    pow-distance s of the lattice (covering_verdicts for one basis)."""
+    return bool(covering_verdicts([hnf_basis], p, s)[0])
 
 
 @cache
@@ -178,6 +206,15 @@ _CHUNK = 1 << 12
 """Most (difference, column entry) pairs one sieve step holds at once, so
 its temporaries stay small however many differences are live."""
 
+_SURVIVOR_BATCH = 1 << 12
+"""Most sieve survivors built at once, and held before the covering test:
+at 4-D p=2 one diagonal of volume 32 has 17472, and volume 30 has 46320."""
+
+_COVER_CHUNK = 1 << 15
+"""Most (basis, ball point, coordinate) entries one covering step labels
+at once: 256 KB of int64 coordinates, about 1 MB with the quotients,
+labels and marks.  Larger chunks raised peak RSS and ran no faster."""
+
 
 def _gcd_inverse(c: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise g = gcd(c, d) and s with s * c == g (mod d), by the
@@ -236,27 +273,54 @@ def _sieve_column(
         _sieve_column(bad, diag, j + 1, nxt)
 
 
-def _basis_at(index: int, diag: tuple[int, ...]) -> Basis:
-    """The HNF basis whose above-diagonal entries are the mixed-radix
-    digits of `index` (see _sieve_column)."""
-    rows = [[0] * len(diag) for _ in diag]
-    for j in range(len(diag) - 1, -1, -1):
-        rows[j][j] = diag[j]
+def _bases_at(indices: np.ndarray, diag: tuple[int, ...]) -> list[Basis]:
+    """The HNF bases whose above-diagonal entries are the mixed-radix
+    digits of `indices` (see _sieve_column)."""
+    n = len(diag)
+    rows = np.zeros((len(indices), n, n), dtype=np.int64)
+    for j in range(n - 1, -1, -1):
+        rows[:, j, j] = diag[j]
         for i in range(j - 1, -1, -1):
-            index, rows[i][j] = divmod(index, diag[j])
-    return tuple(tuple(row) for row in rows)
+            indices, rows[:, i, j] = np.divmod(indices, diag[j])
+    return [tuple(map(tuple, basis)) for basis in rows.tolist()]
 
 
-def _survivors(volume: int, diffs: np.ndarray) -> Iterator[Basis]:
+def _sieve_diagonal(diag: tuple[int, ...], diffs: np.ndarray) -> np.ndarray:
+    """Mask over the mixed-radix entry indices of the HNFs with diagonal
+    `diag`: True where the lattice contains one of `diffs`."""
+    bad = np.zeros(prod(d**j for j, d in enumerate(diag)), dtype=bool)
+    rows = np.insert(diffs[diffs[:, 0] % diag[0] == 0], 0, 0, axis=1)
+    rows[:, 1] //= diag[0]
+    _sieve_column(bad, diag, 1, rows)
+    return bad
+
+
+def _diagonal_screened(diag: tuple[int, ...], floor: int) -> bool:
+    """True when Hermite's inequality puts a nonzero vector of squared
+    norm below `floor` in every lattice with HNF diagonal `diag`.
+
+    The last m rows of such an HNF generate the lattice's vectors with
+    n - m leading zeros, of index d_(n-m+1)...d_n in Z^m; m = n is the
+    volume screen of `_volume_task`.
+    """
+    return any(
+        _hermite_screened(m, prod(diag[-m:]), floor) for m in range(1, len(diag))
+    )
+
+
+def _survivors(volume: int, diffs: np.ndarray, floor: int = 0) -> Iterator[Basis]:
     """Every HNF basis of index `volume` whose lattice contains none of
-    `diffs`, once each: by diagonal, then by mixed-radix entry index."""
+    `diffs`, once each: by diagonal, then by mixed-radix entry index.
+
+    Every nonzero vector of squared norm below `floor` must be in
+    `diffs` up to sign, as below T (see the module docstring); diagonals
+    that floor screens are skipped unsieved.  The default 0 screens none.
+    """
     for diag in _ordered_factorizations(volume, diffs.shape[1]):
-        bad = np.zeros(prod(d**j for j, d in enumerate(diag)), dtype=bool)
-        rows = np.insert(diffs[diffs[:, 0] % diag[0] == 0], 0, 0, axis=1)
-        rows[:, 1] //= diag[0]
-        _sieve_column(bad, diag, 1, rows)
-        for index in np.flatnonzero(~bad).tolist():
-            yield _basis_at(index, diag)
+        if not _diagonal_screened(diag, floor):
+            indices = np.flatnonzero(~_sieve_diagonal(diag, diffs))
+            for lo in range(0, len(indices), _SURVIVOR_BATCH):
+                yield from _bases_at(indices[lo : lo + _SURVIVOR_BATCH], diag)
 
 
 # The supported dimensions: those of enumerate_sublattices, the sieve's oracle.
@@ -322,18 +386,20 @@ def _volume_task(
     # tiling by Z^n itself (volume 1), not for degenerate larger codes.
     least_t = 0 if mu(n, p, s_r) == volume else 1
     skip = least_t > k or (k <= 1 and s_r == 0 and volume > 1)
-    survivors = ()
+    survivors: Iterator[Basis] = iter(())
     if not skip:
         # The differences come first: their grid is the one the screen reads.
         diffs = _ball_diffs(n, p, r_min)
-        if not _hermite_screened(n, volume, _packing_floor(n, p, r_min)):
-            survivors = _SIEVES[n](volume, diffs)
+        floor = _packing_floor(n, p, r_min)
+        if not _hermite_screened(n, volume, floor):
+            survivors = _SIEVES[n](volume, diffs, floor)
     inj = 0
     passes: list[Basis] = []
-    for basis in survivors:
-        inj += 1
-        if everyone_covers or covering_test(basis, p, s_cov):
-            passes.append(basis)
+    while batch := list(islice(survivors, _SURVIVOR_BATCH)):
+        inj += len(batch)
+        if not everyone_covers:
+            batch = list(compress(batch, covering_verdicts(batch, p, s_cov)))
+        passes += batch
     pending = set(passes)
     records: list[tuple[Basis, CodeAnalysis, int]] = []
     for basis in passes:

@@ -225,6 +225,21 @@ class TestExitCodes:
         assert (a["r_pow"], a["R_pow"], a["t"]) == (0, 2**1100, 3)
         assert (a["r"], a["R"], a["real_pack_radius"]) == (0.0, 2.0, 0.5)
 
+    @pytest.mark.parametrize(
+        "dim,p,theta", [("2", "1100", "1.5"), ("3", "400", "1.4")]
+    )
+    def test_huge_exponent_bounds(self, capsys, dim, p, theta):
+        # The scan reaches pow-radii past the float range (2^1100 at
+        # p = 1100), so the bound rows may not take float(r_pow) roots.
+        rc, out, err = run_cli(capsys, "bounds", "--dim", dim, "--p", p,
+                               "--theta-min", theta)
+        assert (rc, err) == (0, "")
+        lines = out.strip().splitlines()
+        assert lines[-2].startswith("# r_pow_max=")
+        assert lines[-1].startswith("# volume_max=")
+        radii = [int(r["r_pow"]) for r in parse_csv("\n".join(lines[:-2]))]
+        assert radii == sorted(radii) and max(radii) > 2**1024
+
     def test_internal_error_is_two(self, capsys, monkeypatch):
         def boom(args):
             raise RuntimeError("boom")

@@ -210,6 +210,17 @@ class TestCosets:
             )
         assert coset_labels(h, pts).tolist() == coset_labels(h, shifted).tolist()
 
+    @pytest.mark.parametrize("n,volume", [(1, 9), (2, 12), (3, 8), (4, 4)])
+    def test_stacked_labels_equal_per_basis_labels(self, n, volume):
+        rng = random.Random(43 + n)
+        bases = list(enumerate_sublattices(n, volume))
+        pts = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(40)]
+        stacked = coset_labels(bases, pts)
+        assert stacked.dtype == np.int64 and stacked.shape == (len(bases), 40)
+        for b, row in zip(bases, stacked):
+            assert row.tolist() == coset_labels(b, pts).tolist()
+        assert coset_labels(bases[:1], pts).shape == (1, 40)
+
     def test_contains_matches_label(self):
         h = hnf(((1, 4), (0, 9)))
         rng = random.Random(37)

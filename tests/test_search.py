@@ -5,9 +5,10 @@ reference loop that enumerates every sublattice and analyzes each one
 directly, under every imperfection cap; that loop lives here and shares
 nothing with the sieve but the analyzer.  Volume by volume, the sieve's
 survivors must also be exactly the sublattices that pass the labeling
-injectivity test, every volume the Hermite screen skips must have no
-survivor, and the covering-radius cap the pipeline relies on is
-checked against the analyzer.  Determinism across worker counts,
+injectivity test, every volume and every HNF diagonal the Hermite
+screen skips must have no survivor, the batched covering test must
+agree with the covering radius, and the covering-radius cap the
+pipeline relies on is checked against the analyzer.  Determinism across worker counts,
 checkpoint resume semantics, dedupe behavior, and the serialization
 helpers each get their own checks, and the disputed rows of the bundled
 3-D catalog are re-measured through the brute-force oracles in conftest.
@@ -28,6 +29,7 @@ from lpcodes import VerificationError
 from lpcodes.analysis import analyze, covering_radius_pow
 from lpcodes.balls import ball_points, distance_set_at_least, mu, successor
 from lpcodes.lattices import (
+    _ordered_factorizations,
     canonical_form,
     congruence_orbit,
     enumerate_sublattices,
@@ -41,13 +43,16 @@ from lpcodes.search import (
     _HERMITE,
     _SIEVES,
     _ball_diffs,
+    _diagonal_screened,
     _hermite_screened,
     _packing_floor,
+    _sieve_diagonal,
     algorithm_radii,
     analysis_display,
     checkpoint_header,
     compact_basis,
     covering_test,
+    covering_verdicts,
     injectivity_test,
     load_checkpoint,
     report_csv_rows,
@@ -156,7 +161,8 @@ class TestSieve:
     def test_survivors_are_the_injective_sublattices(self, n, p, volumes):
         for volume in volumes:
             s_r, _ = algorithm_radii(n, p, volume)
-            got = list(_SIEVES[n](volume, _ball_diffs(n, p, s_r)))
+            diffs = _ball_diffs(n, p, s_r)
+            got = list(_SIEVES[n](volume, diffs))
             assert len(got) == len(set(got)), volume
             want = {
                 b
@@ -164,6 +170,8 @@ class TestSieve:
                 if injectivity_test(b, p, s_r)
             }
             assert set(got) == want, volume
+            # The diagonal screen drops no survivor and changes no order.
+            assert list(_SIEVES[n](volume, diffs, _packing_floor(n, p, s_r))) == got
 
 
 class TestHermiteScreen:
@@ -220,6 +228,78 @@ class TestHermiteScreen:
                 sieve = _SIEVES[n](volume, _ball_diffs(n, p, s_r))
                 assert next(sieve, None) is None, volume
         assert seen == screened
+
+    @pytest.mark.parametrize(
+        "n,p,volume_hi,screened",
+        [
+            (2, 1, 600, 1934),
+            (2, 2, 600, 2007),
+            (2, 3, 600, 1993),
+            (2, 4, 600, 1982),
+            (3, 1, 200, 2279),
+            (3, 2, 200, 2460),
+            (3, 3, 200, 2453),
+            (4, 2, 40, 512),
+        ],
+    )
+    def test_screened_diagonals_have_no_survivor(self, n, p, volume_hi, screened):
+        # Counted over every volume, those the volume screen skips included.
+        seen = 0
+        for volume in range(1, volume_hi + 1):
+            s_r, _ = algorithm_radii(n, p, volume)
+            floor = _packing_floor(n, p, s_r)
+            for diag in _ordered_factorizations(volume, n):
+                if _diagonal_screened(diag, floor):
+                    seen += 1
+                    assert _sieve_diagonal(diag, _ball_diffs(n, p, s_r)).all(), diag
+        assert seen == screened
+
+    def test_diagonal_screen_reads_the_trailing_block(self):
+        # T = 49 at 2-D p=2, s = 13 (see above).  A last diagonal entry of
+        # 6 puts (0, 6), of norm 36 < 49, in every lattice on the diagonal;
+        # a last entry of 8 or 47 does not, and a floor of 0 screens none.
+        assert not _diagonal_screened((1, 47), 49)
+        assert not _diagonal_screened((47, 1), 0)
+        assert _diagonal_screened((8, 6), 49)
+        assert not _diagonal_screened((6, 8), 49)
+
+
+class TestCoveringKernel:
+    """The batched covering test against the covering radius itself: a
+    lattice is covered at s iff its covering radius is at most s."""
+
+    @pytest.mark.parametrize(
+        "n,p,volume_hi", [(2, 1, 20), (2, 2, 20), (2, 3, 20), (3, 2, 8)]
+    )
+    def test_verdicts_match_the_covering_radius(self, n, p, volume_hi):
+        for volume in range(1, volume_hi + 1):
+            bases = list(enumerate_sublattices(n, volume))
+            radii = np.array([covering_radius_pow(b, p) for b in bases])
+            for s in sorted({0, *radii.tolist(), (volume // 2) ** p}):
+                for s_at in (s, successor(n, p, s)):
+                    got = covering_verdicts(bases, p, s_at)
+                    assert got.tolist() == (radii <= s_at).tolist(), (volume, s_at)
+
+    def test_chunking_keeps_the_verdicts(self, monkeypatch):
+        bases = list(enumerate_sublattices(3, 12))
+        s = algorithm_radii(3, 2, 12)[1]
+        whole = covering_verdicts(bases, 2, s)
+        assert 0 < whole.sum() < len(bases) and len(bases) % 8
+        # Eight bases per chunk at this ball of mu(3, 2, s) points.
+        monkeypatch.setattr(lpcodes.search, "_COVER_CHUNK", 8 * 3 * mu(3, 2, s))
+        assert covering_verdicts(bases, 2, s).tolist() == whole.tolist()
+        assert [covering_test(b, 2, s) for b in bases] == whole.tolist()
+
+    def test_survivor_batches_keep_the_report(self, monkeypatch):
+        want = report_to_dict(run_search(SearchQuery(3, 2, 1, 40)))
+        monkeypatch.setattr(lpcodes.search, "_SURVIVOR_BATCH", 5)
+        assert report_to_dict(run_search(SearchQuery(3, 2, 1, 40))) == want
+
+    def test_empty_batch_and_too_small_ball(self):
+        assert covering_verdicts([], 2, 5).shape == (0,)
+        # mu(2, 2, 1) = 5 points cannot meet 7 cosets.
+        assert not covering_verdicts([((1, 2), (0, 7))], 2, 1).any()
+        assert covering_verdicts([((1, 2), (0, 5))], 2, 1).all()
 
 
 class TestCoveringCap:
@@ -449,14 +529,15 @@ class TestVerification:
         # ((1, 2), (0, 7)) first, and its orbit must be passes throughout.
         rejected = ((1, 4), (0, 7))
         assert rejected in congruence_orbit(((1, 2), (0, 7)))
-        covering = lpcodes.search.covering_test
+        covering = lpcodes.search.covering_verdicts
         seen = []
 
-        def all_but_one(basis, p, s):
-            seen.append(basis)
-            return basis != rejected and covering(basis, p, s)
+        def all_but_one(bases, p, s):
+            seen.extend(bases)
+            keep = np.array([b != rejected for b in bases], dtype=bool)
+            return covering(bases, p, s) & keep
 
-        monkeypatch.setattr(lpcodes.search, "covering_test", all_but_one)
+        monkeypatch.setattr(lpcodes.search, "covering_verdicts", all_but_one)
         with pytest.raises(VerificationError, match="failed the sieve or the covering"):
             run_search(SearchQuery(2, 2, 1, 30))
         assert rejected in seen

@@ -3,15 +3,22 @@
 Re-proofs and input checks must be real errors: `python -O` strips
 `assert` statements, so none may appear under src/lpcodes.  The
 benchmark's tracer patches library functions by name, so renaming or
-deleting one of them must fail here, not only in a traced benchmark run.
+deleting one of them must fail here, not only in a traced benchmark run,
+and so must changing how the search calls them: the tracer's wrappers
+pass the sieve's arguments positionally and read `covering_test`'s as
+(basis, p, s).
 """
 
 import ast
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
 import lpcodes
+import lpcodes.search
+from lpcodes.balls import mu
+from lpcodes.search import SearchQuery, report_to_dict, run_search
 
 LIBRARY = Path(lpcodes.__file__).parent
 PERFBENCH = LIBRARY.parents[1] / "perfbench"
@@ -38,3 +45,21 @@ def test_benchmark_tracer_finds_every_name_it_patches():
     )
     assert done.returncode == 0, done.stderr
     assert "Ran 1 test" in done.stderr
+
+
+def test_traced_search_reports_what_an_untraced_one_does():
+    spec = importlib.util.spec_from_file_location("tracer", PERFBENCH / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    query = SearchQuery(3, 2, 1, 40)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        traced = report_to_dict(run_search(query, jobs=1))
+        assert lpcodes.search.covering_test(((1, 2), (0, 5)), 2, 1)
+    finally:
+        tracer.uninstall()
+    assert traced == report_to_dict(run_search(query, jobs=1))
+    survivors = traced["counts"]["injectivity_survivors"]
+    assert tracer.counts["search.sieve.items"] == survivors > 0
+    assert tracer.counts["search.covering_test.labels"] == mu(2, 2, 1)
