@@ -5,17 +5,21 @@ reference loop that enumerates every sublattice and analyzes each one
 directly, under every imperfection cap; that loop lives here and shares
 nothing with the sieve but the analyzer.  Volume by volume, the sieve's
 survivors must also be exactly the sublattices that pass the labeling
-injectivity test, every volume and every HNF diagonal the Hermite
-screen skips must have no survivor, the batched covering test must
-agree with the covering radius, and the covering-radius cap the
-pipeline relies on is checked against the analyzer.  Determinism across worker counts,
-checkpoint resume semantics, dedupe behavior, and the serialization
-helpers each get their own checks, and the disputed rows of the bundled
-3-D catalog are re-measured through the brute-force oracles in conftest.
+injectivity test, each sieve mask must match coset membership cell by
+cell (the reflection x_n -> -x_n and the unit-row path included), every
+volume and every HNF diagonal the Hermite screen skips must have no
+survivor, the batched covering test must agree with the covering
+radius, and the covering-radius cap the pipeline relies on is checked
+against the analyzer.  Determinism across worker counts, checkpoint
+resume semantics, dedupe behavior, and the serialization helpers each
+get their own checks, and the disputed rows of the bundled 3-D catalog
+are re-measured through the brute-force oracles in conftest.
 """
 
 import dataclasses
 import json
+import math
+import tracemalloc
 from collections import Counter
 from functools import cache
 from itertools import product
@@ -32,6 +36,7 @@ from lpcodes.lattices import (
     _ordered_factorizations,
     canonical_form,
     congruence_orbit,
+    coset_labels,
     enumerate_sublattices,
     hnf,
     sublattice_count,
@@ -40,10 +45,13 @@ from lpcodes.search import (
     CSV_FIELDS,
     SearchCounts,
     SearchQuery,
+    _GCD_TABLE_MAX,
     _HERMITE,
     _SIEVES,
     _ball_diffs,
     _diagonal_screened,
+    _gcd_inverse,
+    _gcd_table,
     _hermite_screened,
     _packing_floor,
     _sieve_diagonal,
@@ -172,6 +180,104 @@ class TestSieve:
             assert set(got) == want, volume
             # The diagonal screen drops no survivor and changes no order.
             assert list(_SIEVES[n](volume, diffs, _packing_floor(n, p, s_r))) == got
+
+
+def hnf_stack(diag):
+    """Every HNF with diagonal `diag`, as a (B, n, n) int64 stack in
+    mixed-radix entry order: column j adds j digits of radix d_j, row 0
+    first, the earlier columns more significant."""
+    n = len(diag)
+    slots = [(i, j) for j in range(n) for i in range(j)]
+    digits = np.indices([diag[j] for _, j in slots]).reshape(len(slots), -1)
+    stack = np.zeros((digits.shape[1], n, n), dtype=np.int64)
+    stack[:, range(n), range(n)] = diag
+    for (i, j), column in zip(slots, digits):
+        stack[:, i, j] = column
+    return stack
+
+
+class TestSieveMasks:
+    """Each mask of `_sieve_diagonal` against direct membership: an HNF's
+    lattice contains v exactly when v's coset label under it is 0.  The
+    ranges give last diagonal entries d_n <= 2, even and odd, and both
+    unit and non-unit c_{n-2} in the last column, so the reflection
+    x_n -> -x_n, its bypass and both solution paths are all exercised;
+    2-D to 241 also sieves moduli above _GCD_TABLE_MAX."""
+
+    @pytest.mark.parametrize(
+        "n,p,volume_hi",
+        [(3, 1, 60), (3, 2, 60), (3, 3, 60), (4, 1, 20), (4, 2, 20), (2, 2, 241)],
+    )
+    def test_masks_match_coset_membership(self, n, p, volume_hi):
+        lasts = set()
+        for volume in range(1, volume_hi + 1):
+            s_r, _ = algorithm_radii(n, p, volume)
+            diffs, floor = _ball_diffs(n, p, s_r), _packing_floor(n, p, s_r)
+            if _hermite_screened(n, volume, floor):
+                continue
+            for diag in _ordered_factorizations(volume, n):
+                if _diagonal_screened(diag, floor):
+                    continue
+                stack = hnf_stack(diag)
+                want = np.zeros(len(stack), dtype=bool)
+                size = max(1, (1 << 18) // max(len(diffs), 1))
+                for lo in range(0, len(stack), size):
+                    labels = coset_labels(stack[lo : lo + size], diffs)
+                    want[lo : lo + size] = (labels == 0).any(axis=1)
+                got = _sieve_diagonal(diag, diffs)
+                assert np.array_equal(got, want), (volume, diag)
+                lasts.add(diag[-1])
+        assert min(lasts) <= 2 and {d % 2 for d in lasts if d > 2} == {0, 1}
+        assert n > 2 or max(lasts) > _GCD_TABLE_MAX
+
+    def test_reflection_keeps_memory_near_the_mask(self):
+        # numpy reports its buffers to tracemalloc.  The mirror copy is one
+        # temporary of under half the mask; a flat index over the last
+        # column's d^3 cells would hold 8 bytes per cell, 9.5 masks here.
+        s_r, _ = algorithm_radii(4, 2, 160)
+        diffs = _ball_diffs(4, 2, s_r)
+        tracemalloc.start()
+        try:
+            mask = _sieve_diagonal((1, 1, 1, 160), diffs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mask.nbytes == 160**3 and peak < 3 * mask.nbytes
+
+    def test_gcd_inverse_and_tables_match_math(self):
+        # Rows carry any integer c, negative ones included; a table is
+        # indexed by c mod d.
+        for d in range(1, 301):
+            c = np.arange(-d, 2 * d, dtype=np.int64)
+            g, s = (t.tolist() for t in _gcd_inverse(c, d))
+            for c_i, g_i, s_i in zip(c.tolist(), g, s):
+                want = math.gcd(c_i, d)
+                assert g_i == want, (c_i, d)
+                assert (s_i * c_i - want) % d == 0, (c_i, d)
+                assert s_i % (d // want) == pow(c_i // want, -1, d // want), (c_i, d)
+            table = _gcd_table(d)
+            assert all(t.dtype == np.int64 and not t.flags.writeable for t in table)
+            assert [t.tolist() for t in table] == [g[d : 2 * d], s[d : 2 * d]]
+
+    @pytest.mark.parametrize(
+        "n,p,volume_hi",
+        [(2, 1, 600), (2, 2, 600), (2, 3, 600), (2, 4, 600), (3, 1, 200),
+         (3, 2, 1419), (3, 3, 200), (4, 1, 40), (4, 2, 40)],
+    )
+    def test_differences_are_closed_under_the_last_reflection(self, n, p, volume_hi):
+        # The precondition of _sieve_diagonal, at every radius these
+        # searches sieve under caps 1 and 2.
+        radii = set()
+        for volume in range(1, volume_hi + 1):
+            s_r, _ = algorithm_radii(n, p, volume)
+            elements = distance_set_at_least(n, p, s_r).elements
+            i = elements.index(s_r)
+            radii |= set(elements[max(i - 1, 0) : i + 1])
+        flip = np.array([1] * (n - 1) + [-1])
+        for s in radii:
+            diffs = _ball_diffs(n, p, s)
+            both = {tuple(v) for v in np.concatenate([diffs, -diffs]).tolist()}
+            assert {tuple(v) for v in (diffs * flip).tolist()} <= both, s
 
 
 class TestHermiteScreen:
