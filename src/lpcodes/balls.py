@@ -161,13 +161,24 @@ def successor(n: int, p: int, s: int) -> int:
 @cache
 def algorithm_radii(n: int, p: int, volume: int) -> tuple[int, int]:
     """(s_r, s_R): the largest pow-radius whose ball has at most `volume`
-    points, and its distance-set successor."""
-    s = 0
-    nxt = successor(n, p, 0)
-    while mu(n, p, nxt) <= volume:
-        s = nxt
-        nxt = successor(n, p, nxt)
-    return s, nxt
+    points, and its distance-set successor.
+
+    mu is increasing on the distance set, so s_R is found by bisection.
+    The (2k+1)^n points with every |z_i| <= k have pow-norm at most
+    n k^p, so with 2k + 1 > volume^(1/n) the element n k^p bounds the
+    search: mu is evaluated only there and at the bisection's probes.
+    """
+    if volume < 1:
+        raise ValueError("volume must be positive")
+    bound = n * ((iroot(volume, n) + 1) // 2) ** p
+    elements = distance_set_at_least(n, p, bound).elements
+    i = bisect_right(
+        elements,
+        volume,
+        hi=bisect_left(elements, bound) + 1,
+        key=lambda s: mu(n, p, s),
+    )
+    return elements[i - 1], elements[i]
 
 
 def ball_points(n: int, p: int, s: int) -> list[Point]:

@@ -17,6 +17,11 @@ class LimitExceededError(LpCodesError):
     """
 
 
+class Int64RangeError(LpCodesError, OverflowError):
+    """An int64 kernel met entries large enough that its next step could
+    overflow; the exact Python-int routine must be used instead."""
+
+
 class DimensionUnsupportedError(LpCodesError):
     """The requested computation is only implemented for specific n."""
 

@@ -4,7 +4,8 @@ forms, coset labels, and exact closest-point distances (a test oracle).
 Bases are plain tuples of row tuples; rows generate the lattice.  All
 arithmetic is on Python ints, which are arbitrary precision, so the
 products appearing at n = 3, volumes ~1500 (and far beyond) are exact
-with no overflow concerns; only the coset labels are int64.
+with no overflow concerns.  Two kernels are int64: the coset labels, and
+`hnf_stack`, which refuses entries past 2^31 rather than overflow.
 
 The Hermite normal form used throughout is row-style: upper triangular,
 positive diagonal d_1..d_n, and 0 <= entry(i, j) < d_j for i < j.  Each
@@ -17,7 +18,11 @@ the equality test and the enumeration order.  Routines that take an
 signed coordinate permutations, the symmetries of every lp ball; it
 tries half of them, those with first output sign +1, because -L = L.
 `canonical_form` is the least member of that set.  At n = 4 an orbit
-costs 192 HNFs, and the 2313 covering passes of a 4-D p=2 search to
+has 192 images, normalized by one `hnf_stack` call in about 0.56 ms,
+against 3.0 ms for 192 `hnf` calls (4-D p=2 search to volume 40, 2-vCPU
+x86-64 VM, Python 3.11).  A 2-D orbit has only 4 images and costs about
+70 us instead of 40 us, since numpy's per-call cost is no longer spread
+over many members.  The 2313 covering passes of a 4-D p=2 search to
 volume 14 form only 18 orbits, so the search builds each orbit once
 (see `search`).
 """
@@ -34,7 +39,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .balls import iroot
-from .errors import SingularMatrixError
+from .errors import Int64RangeError, SingularMatrixError
 
 Row = tuple[int, ...]
 Basis = tuple[Row, ...]
@@ -171,22 +176,101 @@ def signed_permutations(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(out)
 
 
-def apply_transform(
-    transform: tuple[tuple[int, int], ...], basis: Sequence[Sequence[int]]
-) -> Basis:
-    """Apply a signed coordinate permutation to every basis row."""
-    return tuple(
-        tuple(sign * row[src] for (src, sign) in transform) for row in basis
-    )
+@cache
+def _half_group(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(source, sign) arrays of shape (T, n) for the T = 2^(n-1) * n!
+    signed permutations with first output sign +1."""
+    half = [t for t in signed_permutations(n) if t[0][1] > 0]
+    table = np.array(half, dtype=np.int64)
+    return table[:, :, 0], table[:, :, 1]
+
+
+# Entries of at most 2^31 in absolute value keep every product q * entry
+# of an elimination step, and the difference it leaves, inside int64.
+_STACK_ENTRY_BOUND = 1 << 31
+
+
+def _check_int64_safe(h: np.ndarray) -> None:
+    # Not np.abs(h).max(): the absolute value of -2^63 is -2^63 in int64.
+    bound = _STACK_ENTRY_BOUND
+    if h.max(initial=0) > bound or h.min(initial=0) < -bound:
+        raise Int64RangeError(
+            "an HNF stack entry exceeds 2^31; use the exact `hnf` instead"
+        )
+
+
+def hnf_stack(stack: ArrayLike) -> np.ndarray:
+    """Row-style Hermite normal form of every matrix of a (B, n, n)
+    int64 stack, the same as `hnf` of each, computed for all at once.
+
+    Column by column, Euclid's algorithm runs on every matrix together:
+    the nonzero entry of least absolute value is the pivot, and each
+    other entry loses its floor quotient by the pivot times the pivot
+    row, until the pivot is the one nonzero entry left.  The pivot row
+    then moves into place, its sign makes the diagonal positive, and
+    the rows above are reduced into [0, d).  The result is exact: on
+    input and before each elimination step Int64RangeError is raised if
+    an entry exceeds 2^31, past which an int64 step could overflow.  A
+    rank-deficient member raises SingularMatrixError.
+    """
+    h = np.array(stack, dtype=np.int64)
+    count, n = h.shape[0], h.shape[-1]
+    members = np.arange(count)
+    _check_int64_safe(h)
+    for col in range(n - 1):
+        entries = h[:, col:, col]
+        at, pivot = _pivots(entries, members)
+        # Euclid keeps a nonzero entry in a column that has one.
+        if np.count_nonzero(pivot) < count:
+            raise SingularMatrixError("rows are linearly dependent")
+        while np.count_nonzero(entries) > count:
+            _check_int64_safe(h)
+            q = entries // pivot[:, None]
+            q[members, at] = 0
+            pivot_rows = h[members, col + at, col:]
+            h[:, col:, col:] -= q[:, :, None] * pivot_rows[:, None, :]
+            at, pivot = _pivots(entries, members)
+        rows = h[members, col + at, col:] * np.sign(pivot)[:, None]
+        h[members, col + at, col:] = h[:, col, col:]
+        h[:, col, col:] = rows
+        if col:
+            _check_int64_safe(h)
+            q = h[:, :col, col] // rows[:, :1]
+            h[:, :col, col:] -= q[:, :, None] * rows[:, None, :]
+    # The last row is zero but for its diagonal entry.
+    d = np.abs(h[:, -1, -1])
+    if np.count_nonzero(d) < count:
+        raise SingularMatrixError("rows are linearly dependent")
+    h[:, -1, -1] = d
+    h[:, :-1, -1] %= d[:, None]
+    return h
+
+
+def _pivots(
+    entries: np.ndarray, members: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row offset and value of each member's nonzero entry of least
+    absolute value in a (B, rows) column; |entry| - 1 read as unsigned
+    puts the zeros last."""
+    at = (np.abs(entries) - 1).view(np.uint64).argmin(axis=1)
+    return at, entries[members, at]
 
 
 def congruence_orbit(basis: Sequence[Sequence[int]]) -> frozenset[Basis]:
     """The HNFs of every image of the lattice under a signed coordinate
     permutation.  A transform and its negation give L and -L = L, so only
-    those with first output sign +1 are tried: 2^(n-1) * n! HNFs."""
-    b = as_basis(basis)
-    half = (t for t in signed_permutations(len(b)) if t[0][1] > 0)
-    return frozenset(hnf(apply_transform(t, b)) for t in half)
+    those with first output sign +1 are tried: the 2^(n-1) * n! images
+    of the lattice's HNF go through one `hnf_stack` call, or through the
+    exact `hnf` one by one when their entries are too large for it."""
+    h = hnf(basis)
+    source, sign = _half_group(len(h))
+    try:
+        images = np.array(h, dtype=np.int64)[:, source] * sign
+        normal = hnf_stack(images.transpose(1, 0, 2)).tolist()
+    except OverflowError:
+        images = np.array(h, dtype=object)[:, source] * sign
+        normal = [hnf(m) for m in images.transpose(1, 0, 2).tolist()]
+    return frozenset(tuple(map(tuple, m)) for m in normal)
 
 
 def canonical_form(basis: Sequence[Sequence[int]]) -> Basis:

@@ -66,6 +66,9 @@ Each failure raises VerificationError.  An orbit with t <= k gives one
 record (canonical form, analysis, orbit size), listed once in the report,
 or size times without dedupe.  On 4-D p=2 to volume 20, 15069 passes
 fall into 99 orbits, and the search takes under 1 s instead of 111 s.
+An orbit's 2^(n-1) n! images are normalized by one batched int64 HNF
+(`lattices.hnf_stack`): the 180 orbits of 4-D p=2 to volume 40 take
+0.10 s, where one `hnf` call per image took 0.54 s.
 
 Volumes are independent, so the search parallelizes over them; the hits
 are finally sorted by (det, canonical form), making reports identical

@@ -14,7 +14,6 @@ from itertools import product
 import pytest
 
 from lpcodes.lattices import (
-    apply_transform,
     canonical_form,
     coset_labels,
     hnf,
@@ -25,6 +24,14 @@ from lpcodes.lattices import (
 def canon_set(bases):
     """Canonicalize an iterable of bases into a set of class labels."""
     return {canonical_form(b) for b in bases}
+
+
+def apply_transform(transform, basis):
+    """Apply a signed coordinate permutation, given as (source index,
+    sign) per output coordinate, to every basis row."""
+    return tuple(
+        tuple(sign * row[src] for (src, sign) in transform) for row in basis
+    )
 
 
 def congruence_orbit_full_group(basis):

@@ -22,7 +22,12 @@ from functools import cache
 
 import pytest
 
-from conftest import _ball_points_brute, brute_packing_pow, canon_set
+from conftest import (
+    _ball_points_brute,
+    apply_transform,
+    brute_packing_pow,
+    canon_set,
+)
 from lpcodes.analysis import analyze, packing_radius_pow
 from lpcodes.balls import distance_set, distance_set_at_least, mu
 from lpcodes.cli import main as cli_main
@@ -35,7 +40,6 @@ from lpcodes.families import (
     perfect_radius_bound,
 )
 from lpcodes.lattices import (
-    apply_transform,
     canonical_form,
     enumerate_sublattices,
     hnf,

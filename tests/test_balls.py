@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import lpcodes.balls as balls
 from lpcodes.balls import (
     BallCase,
+    algorithm_radii,
     ball_points,
     classify_ball,
     distance_set,
@@ -142,6 +143,41 @@ class TestDistanceSet:
         assert successor(1, 6, 64) == 729
         assert successor(2, 2, 49) == 50
         assert successor(2, 2, 0) == 1
+
+
+def _radii_walk(n, p, volume):
+    """(s_r, s_R) by walking the distance set up from 0, one successor
+    at a time: the oracle for the bisection in `algorithm_radii`."""
+    s = 0
+    nxt = successor(n, p, 0)
+    while mu(n, p, nxt) <= volume:
+        s = nxt
+        nxt = successor(n, p, nxt)
+    return s, nxt
+
+
+class TestAlgorithmRadii:
+    @pytest.mark.parametrize(
+        "n,p,volume_max",
+        [
+            (1, 1, 300), (1, 3, 300),
+            (2, 1, 600), (2, 2, 600), (2, 3, 600), (2, 4, 600), (2, 7, 600),
+            (3, 1, 300), (3, 3, 300), (3, 2, 1419),
+            (4, 2, 400),
+        ],
+    )
+    def test_bisection_matches_the_walk(self, n, p, volume_max):
+        for volume in range(1, volume_max + 1):
+            assert algorithm_radii(n, p, volume) == _radii_walk(n, p, volume)
+
+    def test_past_the_float_range(self):
+        for volume in range(1, 13):
+            assert algorithm_radii(2, 1100, volume) == _radii_walk(2, 1100, volume)
+        assert algorithm_radii(2, 1100, 12)[1] == 2**1100
+
+    def test_rejects_nonpositive_volume(self):
+        with pytest.raises(ValueError):
+            algorithm_radii(2, 2, 0)
 
 
 class TestMuAndPoints:

@@ -5,19 +5,23 @@ Counting oracles are the divisor sums implied by the HNF free entries;
 distance oracles are the nearest-translate brute force in conftest.
 """
 
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lpcodes
 from lpcodes.balls import distance_set
-from lpcodes.errors import SingularMatrixError
+from lpcodes.errors import Int64RangeError, SingularMatrixError
 from lpcodes.analysis import shortest_vector_pow
 from lpcodes.lattices import (
-    apply_transform,
     canonical_form,
     closest_lattice_distance_pow,
     congruence_orbit,
@@ -26,11 +30,13 @@ from lpcodes.lattices import (
     enumerate_sublattices,
     hnf,
     hnf_det,
+    hnf_stack,
     signed_permutations,
     sublattice_count,
 )
 
 from conftest import (
+    apply_transform,
     brute_dist_pow,
     congruence_orbit_full_group,
     contains,
@@ -113,6 +119,115 @@ class TestHnf:
             hnf(((1, 2), (2, 4)))
         with pytest.raises(SingularMatrixError):
             hnf(((0, 0), (0, 0)))
+
+
+def _random_full_rank(rng, n, reach):
+    while True:
+        b = tuple(tuple(rng.randint(-reach, reach) for _ in range(n)) for _ in range(n))
+        if det_nonzero(b):
+            return b
+
+
+class TestHnfStack:
+    @pytest.mark.parametrize(
+        "n,reach",
+        [(1, 9), (2, 9), (3, 9), (4, 9), (1, 10**9), (2, 10**4), (3, 300), (4, 40)],
+    )
+    def test_matches_hnf(self, n, reach):
+        """Random full-rank bases with negative entries, their unimodular
+        mixes and HNFs, in one stack: each member gets exactly `hnf`.  The
+        larger reaches keep every determinant below 2^31."""
+        rng = random.Random(53 * n + reach)
+        stack = []
+        for _ in range(30):
+            b = _random_full_rank(rng, n, reach)
+            stack += [b, hnf(b)]
+            if n > 1:
+                stack.append(_random_unimodular_mix(rng, b))
+        given = np.array(stack, dtype=np.int64)
+        out = hnf_stack(given)
+        assert out.dtype == np.int64 and out.shape == given.shape
+        assert [tuple(map(tuple, m)) for m in out.tolist()] == [hnf(b) for b in stack]
+        assert given.tolist() == [list(map(list, b)) for b in stack]
+
+    @pytest.mark.parametrize(
+        "singular",
+        [
+            ((1, 2), (2, 4)),
+            ((0, 1), (0, 2)),
+            ((0, 0), (0, 0)),
+            ((2, 1, 0), (4, 3, 0), (6, 5, 0)),
+            ((1, 2, 3), (0, 1, 1), (1, 3, 4)),
+        ],
+    )
+    def test_a_singular_member_raises(self, singular):
+        n = len(singular)
+        regular = [[int(i == j) for j in range(n)] for i in range(n)]
+        with pytest.raises(SingularMatrixError):
+            hnf(singular)
+        for stack in ([regular, singular], [singular, regular]):
+            with pytest.raises(SingularMatrixError):
+                hnf_stack(stack)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            # an input entry past 2^31
+            [[2**40, 3], [5, 7]],
+            # -2^63, whose absolute value int64 cannot hold
+            [[-(2**63), 0], [0, 1]],
+            # the first step of column 0 leaves -2^32 for the second
+            [[2, 2**31], [5, 0]],
+            # column 1 leaves -3 * 2^31 for the reduction of row 0
+            [[1, 5, 0], [0, 1, 2**31], [0, 3, 0]],
+        ],
+    )
+    def test_entries_past_the_bound_raise(self, matrix):
+        n = len(matrix)
+        regular = [[int(i == j) for j in range(n)] for i in range(n)]
+        with pytest.raises(Int64RangeError) as caught:
+            hnf_stack([regular, matrix])
+        assert isinstance(caught.value, OverflowError)
+
+    def test_the_bound_holds_under_python_O(self):
+        program = (
+            "from lpcodes.errors import Int64RangeError\n"
+            "from lpcodes.lattices import hnf_stack\n"
+            "try:\n"
+            "    hnf_stack([[[2, 2**31], [5, 0]]])\n"
+            "except Int64RangeError:\n"
+            "    print('raised')\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", program],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(lpcodes.__file__).parents[1])},
+        )
+        assert done.stdout == "raised\n", done.stderr
+
+    def test_exact_or_raises_near_the_bound(self):
+        """At this reach some HNFs fit below 2^31 and some do not: each
+        member is either exact or refused, never wrong."""
+        rng = random.Random(59)
+        outcomes = []
+        for _ in range(40):
+            b = _random_full_rank(rng, 3, 2**12)
+            try:
+                out = hnf_stack([b])
+            except Int64RangeError:
+                outcomes.append("raised")
+                continue
+            assert tuple(map(tuple, out[0].tolist())) == hnf(b)
+            outcomes.append("exact")
+        assert set(outcomes) == {"raised", "exact"}
+
+    def test_orbit_past_int64_takes_the_exact_path(self):
+        b = ((1, 2**39 + 5, 3), (0, 2**20, 7), (0, 0, 2**20))
+        assert congruence_orbit(b) == congruence_orbit_full_group(b)
+        b = ((3, 2**70 + 1), (0, 2**80))
+        assert congruence_orbit(b) == congruence_orbit_full_group(b)
 
 
 class TestEnumeration:
