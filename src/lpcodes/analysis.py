@@ -50,9 +50,6 @@ from .lattices import (
 )
 
 
-_dset = distance_set_at_least
-
-
 @cache
 def _ball(n: int, p: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     """The points of the ball of pow-radius s sorted by norm (stably, so
@@ -104,7 +101,7 @@ def packing_radius_pow(hnf_basis: Basis, p: int) -> int:
     _, s = algorithm_radii(n, p, hnf_det(hnf_basis))
     norms, first = first_in_coset(hnf_basis, p, s)
     clash = int(norms[~first][0])
-    elements = _dset(n, p, clash).elements
+    elements = distance_set_at_least(n, p, clash).elements
     return elements[bisect_left(elements, clash) - 1]
 
 
@@ -234,7 +231,7 @@ def analyze(basis: Sequence[Sequence[int]], p: int) -> CodeAnalysis:
     volume = hnf_det(h)
     r_pow = packing_radius_pow(h, p)
     R_pow = covering_radius_pow(h, p)
-    t = _dset(n, p, R_pow).gap_count(r_pow, R_pow)
+    t = distance_set_at_least(n, p, R_pow).gap_count(r_pow, R_pow)
     mu_r = mu(n, p, r_pow)
     mu_R = mu(n, p, R_pow)
     shortest = shortest_vector_pow(h, p)

@@ -22,14 +22,13 @@ Negating x_n maps the HNF with last-column entries a_{i,n-1} to the one
 on the same diagonal with entries -a_{i,n-1} mod d_n, and maps the
 difference set onto itself, so the two get the same verdict.  For n >= 3
 the last column therefore walks only a_{0,n-1} <= d_n // 2, and every
-other cell copies its mirror's verdict.  On 3-D p=2 to volume 200 the
-sieve takes half the time it took with the whole column and per-row
-gcds.
+other cell copies its mirror's verdict.
 
-Survivors are HNFs and face the covering test at s_cov as they are, all
-of one volume at once: the ball at s_cov is labelled under a stack of
-survivors by one `coset_labels` call, and a survivor covers iff its row
-of labels meets every coset.  All pass when s_cov reaches the cap or
+Survivors are int64 HNF rows, one (n, n) array each, and face the
+covering test at s_cov as they are, a batch of one volume at a time: the
+ball at s_cov is labelled under their stack by one `coset_labels` call,
+and a survivor covers iff its row of labels meets every coset.  Only the
+passes become tuple bases.  All pass when s_cov reaches the cap or
 mu(r_min) = M.  No cap is the case r_min = 0, where every sublattice
 survives the sieve.
 
@@ -64,11 +63,8 @@ must have index M, and every member must be a pending pass.  The one
 analysis re-proves r >= r_min, R <= s_cov and, when r = s_r, t <= k.
 Each failure raises VerificationError.  An orbit with t <= k gives one
 record (canonical form, analysis, orbit size), listed once in the report,
-or size times without dedupe.  On 4-D p=2 to volume 20, 15069 passes
-fall into 99 orbits, and the search takes under 1 s instead of 111 s.
-An orbit's 2^(n-1) n! images are normalized by one batched int64 HNF
-(`lattices.hnf_stack`): the 180 orbits of 4-D p=2 to volume 40 take
-0.10 s, where one `hnf` call per image took 0.54 s.
+or size times without dedupe.  An orbit's 2^(n-1) n! images are
+normalized by one batched int64 HNF (`lattices.hnf_stack`).
 
 Volumes are independent, so the search parallelizes over them; the hits
 are finally sorted by (det, canonical form), making reports identical
@@ -83,11 +79,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import compress, islice
+from itertools import islice
 from math import inf, prod
-from typing import Iterator, Sequence, TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .analysis import CodeAnalysis, _ball, analyze, labels_are_distinct
 from .balls import (
@@ -115,26 +112,28 @@ from .lattices import (
 injectivity_test = labels_are_distinct
 
 
-def covering_verdicts(hnf_bases: Sequence[Basis], p: int, s: int) -> np.ndarray:
-    """For HNF bases of one index: True where every coset representative
-    lies within pow-distance s of the lattice.
+def covering_verdicts(hnf_bases: ArrayLike, p: int, s: int) -> np.ndarray:
+    """For HNF bases of one index, as tuples or as a (B, n, n) int64
+    stack of HNF rows: True where every coset representative lies within
+    pow-distance s of the lattice.
 
     Computed through labels: a point x has a lattice point within s iff
     some ball point b satisfies x - b in the lattice, i.e. iff x's coset
     label occurs among the ball labels.  Coverage therefore holds iff
     the ball points hit all det distinct labels.  The ball is labelled
-    under a stack of bases at a time, _COVER_CHUNK entries at most.
+    under slices of the stack, _COVER_CHUNK entries at most.
     """
-    out = np.zeros(len(hnf_bases), dtype=bool)
-    if not hnf_bases:
+    stack = np.asarray(hnf_bases, dtype=np.int64)
+    out = np.zeros(len(stack), dtype=bool)
+    if not len(stack):
         return out
-    n, volume = len(hnf_bases[0]), hnf_det(hnf_bases[0])
+    n, volume = stack.shape[1], int(hnf_det(stack[0]))
     if mu(n, p, s) < volume:
         return out
     pts = _ball(n, p, s)[0]
     size = max(1, _COVER_CHUNK // (len(pts) * n))
-    for lo in range(0, len(hnf_bases), size):
-        labels = coset_labels(np.array(hnf_bases[lo : lo + size]), pts)
+    for lo in range(0, len(stack), size):
+        labels = coset_labels(stack[lo : lo + size], pts)
         seen = np.zeros((len(labels), volume), dtype=bool)
         seen[np.arange(len(labels))[:, None], labels] = True
         out[lo : lo + size] = seen.all(axis=1)
@@ -262,10 +261,10 @@ def _gcd_table(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _last_half(diag: tuple[int, ...]) -> int:
     """How many values of a_{0,n-1} the sieve walks at the last column:
-    0..d_n // 2 where the reflection x_n -> -x_n serves (n >= 3 and
-    d_n > 2, see `_sieve_diagonal`), else all d_n."""
+    0..d_n // 2 where the reflection x_n -> -x_n serves (n >= 3, see
+    `_sieve_diagonal`), else all d_n.  For d_n <= 2 the two agree."""
     n, d = len(diag), diag[-1]
-    return d // 2 + 1 if n >= 3 and d > 2 else d
+    return d // 2 + 1 if n >= 3 else d
 
 
 def _sieve_column(
@@ -335,16 +334,16 @@ def _sieve_column(
         _sieve_column(bad, diag, j + 1, nxt)
 
 
-def _bases_at(indices: np.ndarray, diag: tuple[int, ...]) -> list[Basis]:
+def _bases_at(indices: np.ndarray, diag: tuple[int, ...]) -> np.ndarray:
     """The HNF bases whose above-diagonal entries are the mixed-radix
-    digits of `indices` (see _sieve_column)."""
+    digits of `indices` (see _sieve_column), as a (B, n, n) int64 stack."""
     n = len(diag)
     rows = np.zeros((len(indices), n, n), dtype=np.int64)
     for j in range(n - 1, -1, -1):
         rows[:, j, j] = diag[j]
         for i in range(j - 1, -1, -1):
             indices, rows[:, i, j] = np.divmod(indices, diag[j])
-    return [tuple(map(tuple, basis)) for basis in rows.tolist()]
+    return rows
 
 
 def _sieve_diagonal(diag: tuple[int, ...], diffs: np.ndarray) -> np.ndarray:
@@ -389,9 +388,10 @@ def _diagonal_screened(diag: tuple[int, ...], floor: int) -> bool:
     )
 
 
-def _survivors(volume: int, diffs: np.ndarray, floor: int = 0) -> Iterator[Basis]:
+def _survivors(volume: int, diffs: np.ndarray, floor: int = 0) -> Iterator[np.ndarray]:
     """Every HNF basis of index `volume` whose lattice contains none of
-    `diffs`, once each: by diagonal, then by mixed-radix entry index.
+    `diffs`, once each, as an (n, n) int64 array: by diagonal, then by
+    mixed-radix entry index.
 
     Every nonzero vector of squared norm below `floor` must be in
     `diffs` up to sign, as below T (see the module docstring); diagonals
@@ -467,7 +467,7 @@ def _volume_task(
     # tiling by Z^n itself (volume 1), not for degenerate larger codes.
     least_t = 0 if mu(n, p, s_r) == volume else 1
     skip = least_t > k or (k <= 1 and s_r == 0 and volume > 1)
-    survivors: Iterator[Basis] = iter(())
+    survivors: Iterator[np.ndarray] = iter(())
     if not skip:
         # The differences come first: their grid is the one the screen reads.
         diffs = _ball_diffs(n, p, r_min)
@@ -478,9 +478,10 @@ def _volume_task(
     passes: list[Basis] = []
     while batch := list(islice(survivors, _SURVIVOR_BATCH)):
         inj += len(batch)
+        stack = np.stack(batch)
         if not everyone_covers:
-            batch = list(compress(batch, covering_verdicts(batch, p, s_cov)))
-        passes += batch
+            stack = stack[covering_verdicts(stack, p, s_cov)]
+        passes += [tuple(map(tuple, basis)) for basis in stack.tolist()]
     pending = set(passes)
     records: list[tuple[Basis, CodeAnalysis, int]] = []
     for basis in passes:

@@ -170,7 +170,9 @@ class TestSieve:
         for volume in volumes:
             s_r, _ = algorithm_radii(n, p, volume)
             diffs = _ball_diffs(n, p, s_r)
-            got = list(_SIEVES[n](volume, diffs))
+            rows = list(_SIEVES[n](volume, diffs))
+            assert all(r.shape == (n, n) and r.dtype == np.int64 for r in rows)
+            got = [tuple(map(tuple, row)) for row in rows]
             assert len(got) == len(set(got)), volume
             want = {
                 b
@@ -179,7 +181,8 @@ class TestSieve:
             }
             assert set(got) == want, volume
             # The diagonal screen drops no survivor and changes no order.
-            assert list(_SIEVES[n](volume, diffs, _packing_floor(n, p, s_r))) == got
+            screened = _SIEVES[n](volume, diffs, _packing_floor(n, p, s_r))
+            assert [tuple(map(tuple, row)) for row in screened] == got
 
 
 def hnf_stack(diag):
@@ -308,7 +311,8 @@ class TestHermiteScreen:
         # 50, which a floor of 61 would screen.
         assert _packing_floor(2, 2, 13) == 49
         assert algorithm_radii(2, 2, 47)[0] == 13
-        assert ((1, 7), (0, 47)) in set(_SIEVES[2](47, _ball_diffs(2, 2, 13)))
+        rows = _SIEVES[2](47, _ball_diffs(2, 2, 13))
+        assert ((1, 7), (0, 47)) in {tuple(map(tuple, row)) for row in rows}
         assert _hermite_screened(2, 47, 61)
         assert not _hermite_screened(2, 47, 49)
 
@@ -380,11 +384,13 @@ class TestCoveringKernel:
     def test_verdicts_match_the_covering_radius(self, n, p, volume_hi):
         for volume in range(1, volume_hi + 1):
             bases = list(enumerate_sublattices(n, volume))
+            stack = np.array(bases, dtype=np.int64)
             radii = np.array([covering_radius_pow(b, p) for b in bases])
             for s in sorted({0, *radii.tolist(), (volume // 2) ** p}):
                 for s_at in (s, successor(n, p, s)):
                     got = covering_verdicts(bases, p, s_at)
                     assert got.tolist() == (radii <= s_at).tolist(), (volume, s_at)
+                    assert covering_verdicts(stack, p, s_at).tolist() == got.tolist()
 
     def test_chunking_keeps_the_verdicts(self, monkeypatch):
         bases = list(enumerate_sublattices(3, 12))
@@ -639,8 +645,9 @@ class TestVerification:
         seen = []
 
         def all_but_one(bases, p, s):
-            seen.extend(bases)
-            keep = np.array([b != rejected for b in bases], dtype=bool)
+            rows = [tuple(map(tuple, row)) for row in bases]
+            seen.extend(rows)
+            keep = np.array([b != rejected for b in rows], dtype=bool)
             return covering(bases, p, s) & keep
 
         monkeypatch.setattr(lpcodes.search, "covering_verdicts", all_but_one)
