@@ -20,6 +20,8 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import islice
+from typing import TextIO
 
 from .analysis import analyze
 from .balls import ball_points, distance_set, mu, pow_radius_of, real_root
@@ -116,14 +118,32 @@ def _csv_text(fields: tuple[str, ...], rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+_JSON_BATCH = 1 << 12
+"""Encoder chunks joined into one write: a few tens of KB of text."""
+
+
+def _json_text(payload: dict, out: TextIO) -> None:
+    """Write `json.dumps(payload, indent=2)` and a newline to `out`, in
+    batches of the encoder's chunks, so a large report is never held as
+    one string."""
+    chunks = json.JSONEncoder(indent=2).iterencode(payload)
+    while batch := "".join(islice(chunks, _JSON_BATCH)):
+        out.write(batch)
+    out.write("\n")
+
+
+def _write(output: str | dict, out: TextIO) -> None:
+    """Write a handler's output: text as it is, a dict as JSON."""
+    if isinstance(output, dict):
+        _json_text(output, out)
+    else:
+        out.write(output)
 
 
 # ---------------------------------------------------------------- analyze
 
 
-def _cmd_analyze(args: argparse.Namespace) -> str:
+def _cmd_analyze(args: argparse.Namespace) -> str | dict:
     basis = parse_basis(args.basis)
     if len(basis) != args.dim:
         raise CliError(
@@ -134,16 +154,14 @@ def _cmd_analyze(args: argparse.Namespace) -> str:
     except SingularMatrixError as exc:
         raise CliError(f"--basis: {exc}")
     if args.format == "json":
-        return _json_text(
-            {"basis": [list(row) for row in basis], "analysis": analysis_display(a)}
-        )
+        return {"basis": [list(row) for row in basis], "analysis": analysis_display(a)}
     return _csv_text(CSV_FIELDS, [csv_row(a)])
 
 
 # ----------------------------------------------------------------- search
 
 
-def _cmd_search(args: argparse.Namespace) -> str:
+def _cmd_search(args: argparse.Namespace) -> str | dict:
     try:
         query = SearchQuery(
             n=args.dim,
@@ -171,14 +189,14 @@ def _cmd_search(args: argparse.Namespace) -> str:
             raise CliError(f"--checkpoint: {exc}")
     report = run_search(query, jobs=jobs, checkpoint=args.checkpoint)
     if args.format == "json":
-        return _json_text(report_to_dict(report))
+        return report_to_dict(report)
     return _csv_text(CSV_FIELDS, report_csv_rows(report))
 
 
 # ------------------------------------------------------------ ball/distset
 
 
-def _cmd_ball(args: argparse.Namespace) -> str:
+def _cmd_ball(args: argparse.Namespace) -> dict:
     payload = {
         "n": args.dim,
         "p": args.p,
@@ -188,26 +206,24 @@ def _cmd_ball(args: argparse.Namespace) -> str:
     }
     if args.list:
         payload["points"] = [list(pt) for pt in ball_points(args.dim, args.p, args.rpow)]
-    return _json_text(payload)
+    return payload
 
 
-def _cmd_distset(args: argparse.Namespace) -> str:
+def _cmd_distset(args: argparse.Namespace) -> dict:
     dset = distance_set(args.dim, args.p, args.limit)
-    return _json_text(
-        {
-            "n": args.dim,
-            "p": args.p,
-            "limit": args.limit,
-            "count": len(dset.elements),
-            "elements": list(dset.elements),
-        }
-    )
+    return {
+        "n": args.dim,
+        "p": args.p,
+        "limit": args.limit,
+        "count": len(dset.elements),
+        "elements": list(dset.elements),
+    }
 
 
 # ----------------------------------------------------------------- family
 
 
-def _cmd_family(args: argparse.Namespace) -> str:
+def _cmd_family(args: argparse.Namespace) -> dict:
     r = parse_rational(args.r, "--r")
     try:
         spec = family(args.kind, r, args.p)
@@ -229,7 +245,7 @@ def _cmd_family(args: argparse.Namespace) -> str:
             a.t == spec.predicted_t
             and a.disc_pack_density == spec.predicted_disc_density
         )
-    return _json_text(payload)
+    return payload
 
 
 # ----------------------------------------------------------------- bounds
@@ -444,15 +460,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        text = args.handler(args)
+        output = args.handler(args)
         if getattr(args, "out", None):
             try:
                 with open(args.out, "w") as fh:
-                    fh.write(text)
+                    _write(output, fh)
             except OSError as exc:
                 raise CliError(f"--out: {exc}")
         else:
-            sys.stdout.write(text)
+            _write(output, sys.stdout)
     except (CliError, DimensionUnsupportedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

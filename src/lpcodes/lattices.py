@@ -20,9 +20,10 @@ tries half of them, those with first output sign +1, because -L = L.
 `canonical_form` is the least member of that set.  At n = 4 an orbit
 has 192 images, normalized by one `hnf_stack` call in about 0.56 ms,
 against 3.0 ms for 192 `hnf` calls (4-D p=2 search to volume 40, 2-vCPU
-x86-64 VM, Python 3.11).  A 2-D orbit has only 4 images and costs about
-70 us instead of 40 us, since numpy's per-call cost is no longer spread
-over many members.  The 2313 covering passes of a 4-D p=2 search to
+x86-64 VM, Python 3.11).  A 2-D orbit has only 4 images, too few to
+spread numpy's per-call cost: it took 50 us through `hnf_stack` and
+28 us through four `hnf` calls, so n <= 2 takes the exact path (3-D:
+119 us stacked against 243 us exact).  The 2313 covering passes of a 4-D p=2 search to
 volume 14 form only 18 orbits, so the search builds each orbit once
 (see `search`).
 """
@@ -32,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
-from math import prod
+from math import isqrt, prod
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -125,10 +126,10 @@ def _ordered_factorizations(m: int, k: int) -> Iterator[tuple[int, ...]]:
     if k == 1:
         yield (m,)
         return
-    for d in range(1, m + 1):
-        if m % d == 0:
-            for rest in _ordered_factorizations(m // d, k - 1):
-                yield (d, *rest)
+    low = [d for d in range(1, isqrt(m) + 1) if m % d == 0]
+    for d in low + [m // d for d in reversed(low) if d * d != m]:
+        for rest in _ordered_factorizations(m // d, k - 1):
+            yield (d, *rest)
 
 
 def enumerate_sublattices(n: int, volume: int) -> Iterator[Basis]:
@@ -260,17 +261,31 @@ def congruence_orbit(basis: Sequence[Sequence[int]]) -> frozenset[Basis]:
     """The HNFs of every image of the lattice under a signed coordinate
     permutation.  A transform and its negation give L and -L = L, so only
     those with first output sign +1 are tried: the 2^(n-1) * n! images
-    of the lattice's HNF go through one `hnf_stack` call, or through the
-    exact `hnf` one by one when their entries are too large for it."""
+    of the lattice's HNF go through one `hnf_stack` call for n >= 3, or
+    through the exact `hnf` one by one for n <= 2 and when their entries
+    are too large for the stack."""
     h = hnf(basis)
+    if len(h) > 2:
+        try:
+            return _orbit_stacked(h)
+        except OverflowError:
+            pass
+    return _orbit_exact(h)
+
+
+def _orbit_stacked(h: Basis) -> frozenset[Basis]:
+    """`congruence_orbit` of an HNF through one `hnf_stack` call."""
     source, sign = _half_group(len(h))
-    try:
-        images = np.array(h, dtype=np.int64)[:, source] * sign
-        normal = hnf_stack(images.transpose(1, 0, 2)).tolist()
-    except OverflowError:
-        images = np.array(h, dtype=object)[:, source] * sign
-        normal = [hnf(m) for m in images.transpose(1, 0, 2).tolist()]
+    images = np.array(h, dtype=np.int64)[:, source] * sign
+    normal = hnf_stack(images.transpose(1, 0, 2)).tolist()
     return frozenset(tuple(map(tuple, m)) for m in normal)
+
+
+def _orbit_exact(h: Basis) -> frozenset[Basis]:
+    """`congruence_orbit` of an HNF through one Python `hnf` per image."""
+    source, sign = _half_group(len(h))
+    images = np.array(h, dtype=object)[:, source] * sign
+    return frozenset(hnf(m) for m in images.transpose(1, 0, 2).tolist())
 
 
 def canonical_form(basis: Sequence[Sequence[int]]) -> Basis:

@@ -11,18 +11,24 @@ succ^0..k(s_r) that reaches the cap, else succ^k(s_r).
 
 Injectivity at r_min holds exactly when no nonzero difference of two ball
 points lies in the lattice, so the difference set is computed once per
-(n, p, r_min) and sieved against the Hermite normal form entries: per
-diagonal, column by column, each difference left in the lattice by the
-earlier columns becomes one linear congruence on the next column's
-entries.  Losing candidates are never constructed, and one sieve serves
-every n <= 4.  Each congruence c * a == t (mod d) is solved with
-gcd(c, d) and an inverse, read from a cached table for d <= 128; at the
-last column a unit c gives the one solution a = c^-1 t, marked directly.
-Negating x_n maps the HNF with last-column entries a_{i,n-1} to the one
-on the same diagonal with entries -a_{i,n-1} mod d_n, and maps the
-difference set onto itself, so the two get the same verdict.  For n >= 3
-the last column therefore walks only a_{0,n-1} <= d_n // 2, and every
-other cell copies its mirror's verdict.
+(n, p, r_min) and sieved against the Hermite normal form entries, column
+by column: each difference left in the lattice by the earlier columns
+becomes one linear congruence on the next column's entries.  Losing
+candidates are never constructed, and one sieve serves every n <= 4.
+Each congruence c * a == t (mod d) is solved with gcd(c, d) and an
+inverse, read from a cached table for d <= 128, or in column 1 from the
+table of c, which serves every d.  Columns 0 and 1
+enumerate no entry, so a volume's HNF diagonals pass through them
+together, in a few numpy calls with a modulus per row; for n = 2 that is
+the whole sieve.  From column 2 on each diagonal is sieved alone, and at
+the last column a unit c gives the one solution a = c^-1 t, marked
+directly.  Negating x_n maps the HNF with last-column entries a_{i,n-1}
+to the one on the same diagonal with entries -a_{i,n-1} mod d_n, and
+maps the difference set onto itself, so the two get the same verdict.
+For n >= 3 the last column therefore walks only a_{0,n-1} <= d_n // 2,
+and every other cell copies its mirror's verdict.  The difference set
+itself is read off the ball's x_n-fibers, from pairs of points of its
+projection to the first n - 1 coordinates.
 
 Survivors are int64 HNF rows, one (n, n) array each, and face the
 covering test at s_cov as they are, a batch of one volume at a time: the
@@ -152,21 +158,31 @@ def _difference_grid(n: int, p: int, s: int) -> np.ndarray:
     ball-point pairs: a read-only boolean array of shape (4k + 1,)^n,
     indexed by d + 2k.
 
+    The ball is the union of its x_n-fibers |x_n| <= h(x') over its
+    projection x' to the first n - 1 coordinates, so the fiber of the
+    difference set over d' is |y| <= H(d'), where H(d') is the largest
+    h(x') + h(x'') over the projected pairs with x' - x'' = d'.  Only
+    pairs of projected points are formed.  `ball_points` lists each
+    fiber as one lexicographic run whose last point has x_n = h(x').
+
     Differences are marked at key(d), the flat (mixed-radix) index with
     digits d_i + 2k, so key(d) > key(0) iff d's first nonzero coordinate
     is positive.
     """
     pts = np.asarray(ball_points(n, p, s), dtype=np.int64).reshape(-1, n)
-    k = int(pts.max())
+    tops = np.flatnonzero(np.append(pts[1:, -1] <= pts[:-1, -1], True))
+    heights = pts[tops, -1]
+    k = int(heights.max())
     radix = 4 * k + 1
-    weights = radix ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    weights = radix ** np.arange(n - 2, -1, -1, dtype=np.int64)
+    keys = pts[tops, :-1] @ weights
     centre = 2 * k * int(weights.sum())
-    keys = pts @ weights
-    grid = np.zeros(radix**n, dtype=bool)
-    step = 512
-    for i in range(0, len(keys), step):
-        grid[(keys[i : i + step, None] - keys[None, :] + centre).ravel()] = True
-    grid = grid.reshape((radix,) * n)
+    reach = np.full(radix ** (n - 1), -1, dtype=np.int64)
+    for key, top in zip((keys + centre).tolist(), heights.tolist()):
+        at = key - keys  # one x' against every x'': no key repeats
+        reach[at] = np.maximum(reach[at], top + heights)
+    y = np.abs(np.arange(-2 * k, 2 * k + 1))
+    grid = (y <= reach[:, None]).reshape((radix,) * n)
     grid.setflags(write=False)
     return grid
 
@@ -230,15 +246,25 @@ labels and marks.  Larger chunks raised peak RSS and ran no faster."""
 
 
 _GCD_TABLE_MAX = 128
-"""Largest modulus d that gets a `_gcd_table`.  On 3-D p=2 to volume 200
-these serve 1731 of the 1763 column steps.  Tables for every d held
+"""Largest d that gets a `_gcd_table`.  Tables for every modulus held
 2.8 MB at 2-D p=4 to volume 600, where most moduli occur once, and
-raised that search's peak RSS by 8%."""
+raised that search's peak RSS by 8%.  Column 1 reads the tables of the
+coefficient c instead (`_gcd_rows`): there all 518,051 rows of the 540
+column-1 steps, 79% of them with a modulus above 128, read the tables
+of c = 1..24."""
+
+_GROUP = 1 << 14
+"""Most mask cells, and most (diagonal, difference) pairs, that one
+`_sieve_diagonals` call holds: `_survivors` sieves a volume's diagonals
+in runs of consecutive ones within this bound, and a larger diagonal
+alone.  2^16 ran no faster on 3-D p=2 to volume 200 and raised its peak
+RSS by 0.6 MB."""
 
 
-def _gcd_inverse(c: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+def _gcd_inverse(c: np.ndarray, d: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise g = gcd(c, d) and s with s * c == g (mod d), by the
-    extended Euclidean algorithm run on whole arrays."""
+    extended Euclidean algorithm run on whole arrays; d is one modulus or
+    one per entry of c."""
     r0, r1 = c % d, np.full_like(c, d)
     s0, s1 = np.ones_like(c), np.zeros_like(c)
     while r1.any():
@@ -259,10 +285,48 @@ def _gcd_table(d: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
+def _gcd_rows(c: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_gcd_inverse(c, m)` with a modulus per entry, read off the
+    `_gcd_table`s of the values of c when 0 <= c <= _GCD_TABLE_MAX, as
+    the sieve's c are difference coordinates and take few values.
+
+    With m = q * c + r, the table of c at r gives g = gcd(r, c) =
+    gcd(c, m) and s with s * r == g (mod c), so s * r + u * c = g for an
+    integer u, hence s * m + (u - s * q) * c = g and u - s * q is an
+    inverse.  c = 0 gives g = m and the inverse 0.  Other c take one
+    `_gcd_inverse` call.
+    """
+    if not len(c) or c.min() < 0 or c.max() > _GCD_TABLE_MAX:
+        return _gcd_inverse(c, m)
+    tables = zip(*(_gcd_table(d) for d in range(1, int(c.max()) + 2)))
+    g_all, s_all = (np.concatenate(t) for t in tables)
+    one = np.maximum(c, 1)
+    q, r = np.divmod(m, one)
+    at = one * (one - 1) // 2 + r  # the table of d starts at d(d-1)/2
+    g, s = g_all[at], s_all[at]
+    inv = ((g - s * r) // one - s * q) % m
+    zero = c == 0
+    return np.where(zero, m, g), np.where(zero, 0, inv)
+
+
+def _solutions(
+    g: np.ndarray, inv: np.ndarray, t: np.ndarray, d: ArrayLike
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every solution a in [0, d) of c * a == t (mod d), entry by entry,
+    given g = gcd(c, d), which divides t, and inv * c == g (mod d): the g
+    values a = inv * (t / g) mod (d / g) + i * d / g, i < g.  Returns
+    (entry, a), entries in order and each one's a increasing."""
+    step = d // g
+    first = inv * (t // g) % step
+    at = np.repeat(np.arange(len(g)), g)
+    i = np.arange(len(at)) - np.repeat(np.cumsum(g) - g, g)
+    return at, first[at] + i * step[at]
+
+
 def _last_half(diag: tuple[int, ...]) -> int:
     """How many values of a_{0,n-1} the sieve walks at the last column:
     0..d_n // 2 where the reflection x_n -> -x_n serves (n >= 3, see
-    `_sieve_diagonal`), else all d_n.  For d_n <= 2 the two agree."""
+    `_sieve_diagonals`), else all d_n.  For d_n <= 2 the two agree."""
     n, d = len(diag), diag[-1]
     return d // 2 + 1 if n >= 3 else d
 
@@ -270,7 +334,8 @@ def _last_half(diag: tuple[int, ...]) -> int:
 def _sieve_column(
     bad: np.ndarray, diag: tuple[int, ...], j: int, rows: np.ndarray
 ) -> None:
-    """Mark in `bad` every candidate that contains a difference in `rows`.
+    """Mark in `bad`, the mask of diagonal `diag`, every candidate that
+    contains a difference in `rows`, for a column j >= 2.
 
     A row [branch, c_0..c_{j-1}, v_j..v_{n-1}] says that the difference v
     agrees with sum_{i<j} c_i * row_i in its first j coordinates for the
@@ -285,13 +350,10 @@ def _sieve_column(
     At the last column a row with g = 1 has exactly one solution per
     entry, a = inverse * t mod d_j, which is marked directly.  The last
     column walks only the entry tuples with a_{0,j} < `_last_half(diag)`,
-    a prefix of the enumeration order; `_sieve_diagonal` fills in the
+    a prefix of the enumeration order; `_sieve_diagonals` fills in the
     rest by the reflection x_n -> -x_n.
     """
-    if j == len(diag):  # n = 1: no column to walk
-        bad[rows[:, 0]] = True
-        return
-    if not len(rows):  # nothing left to mark, as when r_min = 0
+    if not len(rows):
         return
     d, last = diag[j], j + 1 == len(diag)
     per = d ** (j - 1)
@@ -317,13 +379,8 @@ def _sieve_column(
         c = chunk[:, 1 : j + 1]
         t = chunk[:, j + 1, None] - c[:, :-1] @ entries.T
         r, e = np.nonzero(t % g[:, None] == 0)
-        # c_{j-1} * a == t (mod d) holds for the g[r] values
-        # a = start + k * step with step = d / g[r].
-        reps = g[r]
-        r, e = np.repeat(r, reps), np.repeat(e, reps)
-        k = np.arange(len(r)) - np.repeat(np.cumsum(reps) - reps, reps)
-        step = d // g[r]
-        a = inv[r] * (t[r, e] // g[r]) % step + k * step
+        at, a = _solutions(g[r], inv[r], t[r, e], d)
+        r, e = r[at], e[at]
         branch = (chunk[r, 0] * per + e) * d + a
         if last:
             bad[branch] = True
@@ -332,6 +389,79 @@ def _sieve_column(
         nxt[:, 0] = branch
         nxt[:, j + 1] = (t[r, e] - c[r, -1] * a) // d
         _sieve_column(bad, diag, j + 1, nxt)
+
+
+def _cells(diag: tuple[int, ...]) -> int:
+    """How many HNFs have diagonal `diag`: d_j^j entry tuples per column."""
+    return prod(d**j for j, d in enumerate(diag))
+
+
+def _sieve_diagonals(
+    diags: list[tuple[int, ...]], diffs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(bad, starts): one mask over the HNFs of every diagonal in `diags`
+    in turn, True where the lattice contains one of `diffs`.  Diagonal q
+    owns bad[starts[q] : starts[q + 1]], indexed by mixed-radix entry
+    index (see `_sieve_column`).
+
+    Columns 0 and 1 enumerate no entry, so they run over all the
+    diagonals at once, with a modulus per row: column 0 keeps, for each
+    diagonal, the differences with d_0 | v_0 (one `np.nonzero` over
+    diagonals x differences), and column 1 solves c_0 * a_01 == v_1
+    (mod d_1) with c_0 = v_0 / d_0, its gcds and inverses from
+    `_gcd_rows`.  For n = 2 each solution is a marked cell.  For n >= 3
+    each diagonal's solutions, a contiguous run of rows, go on to
+    `_sieve_column` from column 2, one diagonal at a time.
+
+    Precondition: the set of +-`diffs` is closed under negating the last
+    coordinate, as every set of ball differences is.  Negating x_n maps
+    the HNF with last-column entries a_{i,n-1} to the one on the same
+    diagonal with entries -a_{i,n-1} mod d_n, and maps +-`diffs` onto
+    itself, so the two cells get the same verdict.  For n >= 3 the walk
+    marks only cells with a_{0,n-1} < `_last_half(diag)`; every other
+    cell has a_{0,n-1} > d_n // 2, is never marked, and takes the
+    verdict of its mirror cell, which has a_{0,n-1} < d_n / 2 and was
+    fully sieved.  That copy equals OR-ing the diagonal's mask with its
+    mirror image.  It is one fancy index with an index array of length
+    d_n per last-column axis, and its one temporary holds less than half
+    the diagonal's mask.
+    """
+    starts = np.cumsum([0] + [_cells(diag) for diag in diags])
+    bad = np.zeros(starts[-1], dtype=bool)
+    if not len(diffs):  # nothing to mark, as when r_min = 0
+        return bad, starts
+    n, cols = diffs.shape[1], np.array(diags, dtype=np.int64)
+    k, r = np.nonzero(diffs[:, 0] % cols[:, :1] == 0)
+    if n == 1:  # one cell per diagonal (M,), bad iff M divides some v_0
+        bad[starts[k]] = True
+        return bad, starts
+    if not len(r):
+        return bad, starts
+    c, t, m = diffs[r, 0] // cols[k, 0], diffs[r, 1], cols[k, 1]
+    g, inv = _gcd_rows(c, m)
+    ok = np.flatnonzero(t % g == 0)
+    at, a = _solutions(g[ok], inv[ok], t[ok], m[ok])
+    ok = ok[at]
+    if n == 2:
+        bad[starts[k[ok]] + a] = True
+        return bad, starts
+    rows = np.empty((len(ok), n + 1), dtype=np.int64)
+    rows[:, 0], rows[:, 1] = a, c[ok]
+    rows[:, 2] = (t[ok] - c[ok] * a) // m[ok]
+    rows[:, 3:] = diffs[r[ok], 2:]
+    cuts = np.searchsorted(k[ok], np.arange(len(diags) + 1)).tolist()
+    for q, diag in enumerate(diags):
+        if cuts[q] == cuts[q + 1]:
+            continue
+        mask = bad[starts[q] : starts[q + 1]]
+        _sieve_column(mask, diag, 2, rows[cuts[q] : cuts[q + 1]])
+        d, half = diag[-1], _last_half(diag)
+        if half < d:
+            cells = mask.reshape(-1, *(d,) * (n - 1))
+            neg = -np.arange(d) % d
+            mirror = np.ix_(neg[half:], *[neg] * (n - 2))
+            cells[:, half:] = cells[(slice(None), *mirror)]
+    return bad, starts
 
 
 def _bases_at(indices: np.ndarray, diag: tuple[int, ...]) -> np.ndarray:
@@ -344,35 +474,6 @@ def _bases_at(indices: np.ndarray, diag: tuple[int, ...]) -> np.ndarray:
         for i in range(j - 1, -1, -1):
             indices, rows[:, i, j] = np.divmod(indices, diag[j])
     return rows
-
-
-def _sieve_diagonal(diag: tuple[int, ...], diffs: np.ndarray) -> np.ndarray:
-    """Mask over the mixed-radix entry indices of the HNFs with diagonal
-    `diag`: True where the lattice contains one of `diffs`.
-
-    Precondition: the set of +-`diffs` is closed under negating the last
-    coordinate, as every set of ball differences is.  Negating x_n maps
-    the HNF with last-column entries a_{i,n-1} to the one on the same
-    diagonal with entries -a_{i,n-1} mod d_n, and maps +-`diffs` onto
-    itself, so the two cells get the same verdict.  The walk marks only
-    cells with a_{0,n-1} < `_last_half(diag)`; every other cell has
-    a_{0,n-1} > d_n // 2, is never marked, and takes the verdict of its
-    mirror cell, which has a_{0,n-1} < d_n / 2 and was fully sieved.
-    That copy equals OR-ing the mask with its mirror image.  It is one
-    fancy index with an index array of length d_n per last-column axis,
-    and its one temporary holds less than half the mask.
-    """
-    bad = np.zeros(prod(d**j for j, d in enumerate(diag)), dtype=bool)
-    rows = np.insert(diffs[diffs[:, 0] % diag[0] == 0], 0, 0, axis=1)
-    rows[:, 1] //= diag[0]
-    _sieve_column(bad, diag, 1, rows)
-    n, d, half = len(diag), diag[-1], _last_half(diag)
-    if half < d:
-        cells = bad.reshape(-1, *(d,) * (n - 1))
-        neg = -np.arange(d) % d
-        mirror = np.ix_(neg[half:], *[neg] * (n - 2))
-        cells[:, half:] = cells[(slice(None), *mirror)]
-    return bad
 
 
 def _diagonal_screened(diag: tuple[int, ...], floor: int) -> bool:
@@ -388,6 +489,25 @@ def _diagonal_screened(diag: tuple[int, ...], floor: int) -> bool:
     )
 
 
+def _diagonal_groups(
+    diags: list[tuple[int, ...]], width: int
+) -> Iterator[list[tuple[int, ...]]]:
+    """`diags` in order, cut into runs that hold at most _GROUP cells and
+    at most _GROUP (diagonal, difference) pairs, `width` differences per
+    diagonal; a diagonal past either bound forms a run of its own."""
+    group: list[tuple[int, ...]] = []
+    cells = 0
+    for diag in diags:
+        size = _cells(diag)
+        if group and (cells + size > _GROUP or (len(group) + 1) * width > _GROUP):
+            yield group
+            group, cells = [], 0
+        group.append(diag)
+        cells += size
+    if group:
+        yield group
+
+
 def _survivors(volume: int, diffs: np.ndarray, floor: int = 0) -> Iterator[np.ndarray]:
     """Every HNF basis of index `volume` whose lattice contains none of
     `diffs`, once each, as an (n, n) int64 array: by diagonal, then by
@@ -396,12 +516,21 @@ def _survivors(volume: int, diffs: np.ndarray, floor: int = 0) -> Iterator[np.nd
     Every nonzero vector of squared norm below `floor` must be in
     `diffs` up to sign, as below T (see the module docstring); diagonals
     that floor screens are skipped unsieved.  The default 0 screens none.
+    The other diagonals are sieved in `_diagonal_groups`.
     """
-    for diag in _ordered_factorizations(volume, diffs.shape[1]):
-        if not _diagonal_screened(diag, floor):
-            indices = np.flatnonzero(~_sieve_diagonal(diag, diffs))
-            for lo in range(0, len(indices), _SURVIVOR_BATCH):
-                yield from _bases_at(indices[lo : lo + _SURVIVOR_BATCH], diag)
+    diags = [
+        diag
+        for diag in _ordered_factorizations(volume, diffs.shape[1])
+        if not _diagonal_screened(diag, floor)
+    ]
+    for group in _diagonal_groups(diags, len(diffs)):
+        bad, starts = _sieve_diagonals(group, diffs)
+        indices = np.flatnonzero(~bad)
+        cuts = np.searchsorted(indices, starts).tolist()
+        for q, diag in enumerate(group):
+            for lo in range(cuts[q], cuts[q + 1], _SURVIVOR_BATCH):
+                hi = min(lo + _SURVIVOR_BATCH, cuts[q + 1])
+                yield from _bases_at(indices[lo:hi] - starts[q], diag)
 
 
 # The supported dimensions: those of enumerate_sublattices, the sieve's oracle.

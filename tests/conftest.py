@@ -11,8 +11,10 @@ from __future__ import annotations
 import math
 from itertools import product
 
+import numpy as np
 import pytest
 
+from lpcodes.balls import ball_points
 from lpcodes.lattices import (
     canonical_form,
     coset_labels,
@@ -202,6 +204,22 @@ def brute_balls_disjoint(hnf, p, s):
         if any(tuple(q + w for q, w in zip(pt, v)) in bset for pt in ball):
             return False
     return True
+
+
+def difference_grid_pairwise(n, p, s):
+    """Occupancy of [-2k, 2k]^n, k = iroot(s, p), by the differences of
+    every pair of points of the ball of pow-radius s, indexed by d + 2k:
+    all mu^2 pairs are formed (the library reads the ball's fibers)."""
+    pts = np.asarray(ball_points(n, p, s), dtype=np.int64).reshape(-1, n)
+    k = int(pts.max())
+    radix = 4 * k + 1
+    weights = radix ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    keys = pts @ weights
+    centre = 2 * k * int(weights.sum())
+    grid = np.zeros(radix**n, dtype=bool)
+    for i in range(0, len(keys), 512):
+        grid[(keys[i : i + 512, None] - keys + centre).ravel()] = True
+    return grid.reshape((radix,) * n)
 
 
 def brute_packing_pow(hnf, p, dset_elements):

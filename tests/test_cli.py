@@ -451,6 +451,34 @@ class TestPolyominoCommand:
         assert target.read_text() == first
 
 
+class TestJsonOutput:
+    SEARCH = ("search", "--dim", "2", "--p", "2", "--max-volume", "30",
+              "--t-max", "1000000000", "--no-dedupe")
+
+    @pytest.mark.parametrize("batch", [3, cli._JSON_BATCH])
+    def test_streamed_json_equals_one_dumps(self, capsys, monkeypatch, tmp_path, batch):
+        # A batch of 3 encoder chunks splits every report into many writes.
+        monkeypatch.setattr(cli, "_JSON_BATCH", batch)
+        for argv in (
+            ("analyze", "--dim", "2", "--p", "2", "--basis", "1,5;0,24"),
+            self.SEARCH,
+            ("ball", "--dim", "3", "--p", "2", "--rpow", "5", "--list"),
+            ("distset", "--dim", "2", "--p", "3", "--limit", "300"),
+        ):
+            rc, out, _ = run_cli(capsys, *argv)
+            assert rc == 0
+            assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+            target = tmp_path / "out.json"
+            assert run_cli(capsys, *argv, "--out", str(target))[0] == 0
+            assert target.read_text() == out, argv
+
+    def test_search_json_is_the_report_dumped(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_JSON_BATCH", 3)
+        _, out, _ = run_cli(capsys, *self.SEARCH)
+        report = run_search(SearchQuery(2, 2, 1, 30, t_max=10**9, dedupe=False))
+        assert out == json.dumps(report_to_dict(report), indent=2) + "\n"
+
+
 class TestSmallCommands:
     def test_ball_listing(self, capsys):
         _, out, _ = run_cli(capsys, "ball", "--dim", "2", "--p", "2",

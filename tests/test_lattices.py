@@ -5,6 +5,7 @@ Counting oracles are the divisor sums implied by the HNF free entries;
 distance oracles are the nearest-translate brute force in conftest.
 """
 
+import math
 import os
 import random
 import subprocess
@@ -22,6 +23,9 @@ from lpcodes.balls import distance_set
 from lpcodes.errors import Int64RangeError, SingularMatrixError
 from lpcodes.analysis import shortest_vector_pow
 from lpcodes.lattices import (
+    _orbit_exact,
+    _ordered_factorizations,
+    _orbit_stacked,
     canonical_form,
     closest_lattice_distance_pow,
     congruence_orbit,
@@ -242,6 +246,13 @@ class TestEnumeration:
                 assert det(b) == m
                 assert hnf_det(b) == m
 
+    def test_ordered_factorizations_are_every_tuple_in_order(self):
+        for k in (1, 2, 3, 4):
+            for m in range(1, 61):
+                divisors = [d for d in range(1, m + 1) if m % d == 0]
+                want = [t for t in product(divisors, repeat=k) if math.prod(t) == m]
+                assert list(_ordered_factorizations(m, k)) == want, (m, k)
+
     def test_counts_match_divisor_sums_3d(self):
         for m in (1, 2, 3, 4, 6, 8, 12, 15, 16, 18, 24, 27):
             bases = list(enumerate_sublattices(3, m))
@@ -293,6 +304,12 @@ class TestCanonical:
                 assert orbit == congruence_orbit_full_group(b), b
                 assert b in orbit
                 assert canonical_form(b) == min(orbit)
+
+    def test_planar_orbits_agree_on_both_paths(self):
+        # congruence_orbit takes the exact path for n <= 2.
+        for m in range(1, 41):
+            for b in enumerate_sublattices(2, m):
+                assert _orbit_stacked(b) == _orbit_exact(b) == congruence_orbit(b), b
 
     def test_canonical_is_hnf_of_itself(self):
         c = canonical_form(((3, 1), (1, 2)))

@@ -6,9 +6,9 @@ directly, under every imperfection cap; that loop lives here and shares
 nothing with the sieve but the analyzer.  Volume by volume, the sieve's
 survivors must also be exactly the sublattices that pass the labeling
 injectivity test, each sieve mask must match coset membership cell by
-cell (the reflection x_n -> -x_n and the unit-row path included), every
-volume and every HNF diagonal the Hermite screen skips must have no
-survivor, the batched covering test must agree with the covering
+cell (the reflection x_n -> -x_n and the unit-row path included), the
+ball-difference grid must match every pairwise difference, every volume
+and every HNF diagonal the Hermite screen skips must have no survivor, the batched covering test must agree with the covering
 radius, and the covering-radius cap the pipeline relies on is checked
 against the analyzer.  Determinism across worker counts, checkpoint
 resume semantics, dedupe behavior, and the serialization helpers each
@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 import lpcodes.search
-from conftest import brute_covering_pow, brute_packing_pow
+from conftest import brute_covering_pow, brute_packing_pow, difference_grid_pairwise
 from lpcodes import VerificationError
 from lpcodes.analysis import analyze, covering_radius_pow
 from lpcodes.balls import ball_points, distance_set_at_least, mu, successor
@@ -46,15 +46,20 @@ from lpcodes.search import (
     SearchCounts,
     SearchQuery,
     _GCD_TABLE_MAX,
+    _GROUP,
     _HERMITE,
     _SIEVES,
     _ball_diffs,
+    _cells,
+    _diagonal_groups,
     _diagonal_screened,
+    _difference_grid,
     _gcd_inverse,
+    _gcd_rows,
     _gcd_table,
     _hermite_screened,
     _packing_floor,
-    _sieve_diagonal,
+    _sieve_diagonals,
     algorithm_radii,
     analysis_display,
     checkpoint_header,
@@ -113,6 +118,24 @@ def assert_same_classes(report, want):
         assert a.disc_cover_density == w.disc_cover_density
 
 
+def sieved_radii(n, p, volume_hi):
+    """r_min of every volume to volume_hi under caps 1 and 2: the radii
+    whose differences those searches sieve."""
+    radii = set()
+    for volume in range(1, volume_hi + 1):
+        s_r, _ = algorithm_radii(n, p, volume)
+        elements = distance_set_at_least(n, p, s_r).elements
+        i = elements.index(s_r)
+        radii |= set(elements[max(i - 1, 0) : i + 1])
+    return radii
+
+
+SIEVED_RANGES = [
+    (1, 2, 30), (2, 1, 80), (2, 2, 241), (2, 3, 300), (2, 4, 600),
+    (3, 1, 40), (3, 2, 200), (3, 3, 120), (4, 2, 100),
+]
+
+
 class TestPrimitives:
     def test_known_code_passes_and_fails_where_expected(self):
         basis = ((1, 2), (0, 5))
@@ -147,6 +170,13 @@ class TestPrimitives:
             assert not diffs.flags.writeable
             rows = [tuple(int(v) for v in row) for row in diffs]
             assert rows == sorted(want), (n, p, s)
+
+    @pytest.mark.parametrize("n,p,volume_hi", SIEVED_RANGES)
+    def test_difference_grid_matches_every_pair(self, n, p, volume_hi):
+        for s in sorted(sieved_radii(n, p, volume_hi) | {0}):
+            grid = _difference_grid(n, p, s)
+            assert not grid.flags.writeable
+            assert np.array_equal(grid, difference_grid_pairwise(n, p, s)), s
 
 
 class TestSieve:
@@ -191,7 +221,8 @@ def hnf_stack(diag):
     first, the earlier columns more significant."""
     n = len(diag)
     slots = [(i, j) for j in range(n) for i in range(j)]
-    digits = np.indices([diag[j] for _, j in slots]).reshape(len(slots), -1)
+    sizes = [diag[j] for _, j in slots]
+    digits = np.indices(sizes).reshape(len(slots), math.prod(sizes))
     stack = np.zeros((digits.shape[1], n, n), dtype=np.int64)
     stack[:, range(n), range(n)] = diag
     for (i, j), column in zip(slots, digits):
@@ -199,13 +230,25 @@ def hnf_stack(diag):
     return stack
 
 
+def contains_a_difference(stack, diffs):
+    """True for each HNF of `stack` whose lattice contains one of
+    `diffs`: v lies in the lattice exactly when its coset label is 0."""
+    want = np.zeros(len(stack), dtype=bool)
+    size = max(1, (1 << 18) // max(len(diffs), 1))
+    for lo in range(0, len(stack), size):
+        labels = coset_labels(stack[lo : lo + size], diffs)
+        want[lo : lo + size] = (labels == 0).any(axis=1)
+    return want
+
+
 class TestSieveMasks:
-    """Each mask of `_sieve_diagonal` against direct membership: an HNF's
-    lattice contains v exactly when v's coset label under it is 0.  The
-    ranges give last diagonal entries d_n <= 2, even and odd, and both
-    unit and non-unit c_{n-2} in the last column, so the reflection
-    x_n -> -x_n, its bypass and both solution paths are all exercised;
-    2-D to 241 also sieves moduli above _GCD_TABLE_MAX."""
+    """The masks of `_sieve_diagonals` against direct membership.  Each
+    volume's unscreened diagonals are sieved in one call, so every mask
+    is read at its diagonal's offset.  The ranges give last diagonal
+    entries d_n <= 2, even and odd, and both unit and non-unit c_{n-2} in
+    the last column, so the reflection x_n -> -x_n, its bypass and both
+    solution paths are all exercised; 2-D to 241 also sieves moduli
+    above _GCD_TABLE_MAX."""
 
     @pytest.mark.parametrize(
         "n,p,volume_hi",
@@ -218,20 +261,79 @@ class TestSieveMasks:
             diffs, floor = _ball_diffs(n, p, s_r), _packing_floor(n, p, s_r)
             if _hermite_screened(n, volume, floor):
                 continue
-            for diag in _ordered_factorizations(volume, n):
-                if _diagonal_screened(diag, floor):
-                    continue
-                stack = hnf_stack(diag)
-                want = np.zeros(len(stack), dtype=bool)
-                size = max(1, (1 << 18) // max(len(diffs), 1))
-                for lo in range(0, len(stack), size):
-                    labels = coset_labels(stack[lo : lo + size], diffs)
-                    want[lo : lo + size] = (labels == 0).any(axis=1)
-                got = _sieve_diagonal(diag, diffs)
+            diags = [
+                diag
+                for diag in _ordered_factorizations(volume, n)
+                if not _diagonal_screened(diag, floor)
+            ]
+            if not diags:
+                continue
+            bad, starts = _sieve_diagonals(diags, diffs)
+            assert len(bad) == starts[-1]
+            for q, diag in enumerate(diags):
+                want = contains_a_difference(hnf_stack(diag), diffs)
+                got = bad[starts[q] : starts[q + 1]]
                 assert np.array_equal(got, want), (volume, diag)
                 lasts.add(diag[-1])
         assert min(lasts) <= 2 and {d % 2 for d in lasts if d > 2} == {0, 1}
         assert n > 2 or max(lasts) > _GCD_TABLE_MAX
+
+    def test_one_dimensional_cells_sit_at_their_offsets(self):
+        # Diagonal (M,) has one cell, bad iff M divides a difference; the
+        # differences at p = 2, s = 9 are 1..6.
+        diags = [(d,) for d in range(1, 12)]
+        bad, starts = _sieve_diagonals(diags, _ball_diffs(1, 2, 9))
+        assert starts.tolist() == list(range(12))
+        assert bad.tolist() == [d <= 6 for d in range(1, 12)]
+
+    def test_one_column_step_spans_the_table_bound(self):
+        # The four diagonals of 2-D volume 262 = 2 * 131 are sieved in one
+        # call, so its column-1 step has the moduli 262 and 131 above
+        # _GCD_TABLE_MAX and 2 and 1 below it, with rows whose c_0 is a
+        # unit and rows whose c_0 is not on both sides.
+        diags = list(_ordered_factorizations(262, 2))
+        diffs = _ball_diffs(2, 3, 20)
+        assert list(_diagonal_groups(diags, len(diffs))) == [diags]
+        kinds = {
+            (d1 > _GCD_TABLE_MAX, math.gcd(v0 // d0, d1) == 1)
+            for d0, d1 in diags
+            for v0, _ in diffs.tolist()
+            if v0 % d0 == 0
+        }
+        assert kinds == set(product((False, True), repeat=2))
+        bad, starts = _sieve_diagonals(diags, diffs)
+        for q, diag in enumerate(diags):
+            got = bad[starts[q] : starts[q + 1]]
+            assert np.array_equal(got, contains_a_difference(hnf_stack(diag), diffs))
+            if diag[1] > _GCD_TABLE_MAX:
+                assert got.any() and not got.all(), diag
+
+    def test_a_diagonal_past_the_group_bound_is_sieved_alone(self):
+        # At 3-D volume 131 the diagonal (1, 1, 131) has 131^2 cells, more
+        # than _GROUP, so it forms a group of its own.
+        diags = list(_ordered_factorizations(131, 3))
+        diffs = _ball_diffs(3, 2, 2)
+        assert _cells((1, 1, 131)) > _GROUP
+        assert _cells((1, 131, 1)) + _cells((131, 1, 1)) <= _GROUP
+        groups = list(_diagonal_groups(diags, len(diffs)))
+        assert groups == [[(1, 1, 131)], [(1, 131, 1), (131, 1, 1)]]
+        # So does every diagonal once a group of two holds too many pairs.
+        assert list(_diagonal_groups(diags[1:], _GROUP // 2 + 1)) == [
+            [(1, 131, 1)], [(131, 1, 1)]
+        ]
+        stack = np.concatenate([hnf_stack(diag) for diag in diags])
+        want = stack[~contains_a_difference(stack, diffs)]
+        got = list(_SIEVES[3](131, diffs))
+        assert len(got) == len(want) and np.array_equal(np.array(got), want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_an_empty_difference_set_yields_every_hnf(self, n):
+        empty = _ball_diffs(n, 2, 0)
+        assert empty.shape == (0, n)
+        for volume in (1, 2, 12):
+            rows = list(_SIEVES[n](volume, empty))
+            want = [hnf_stack(diag) for diag in _ordered_factorizations(volume, n)]
+            assert np.array_equal(np.array(rows), np.concatenate(want)), volume
 
     def test_reflection_keeps_memory_near_the_mask(self):
         # numpy reports its buffers to tracemalloc.  The mirror copy is one
@@ -241,7 +343,7 @@ class TestSieveMasks:
         diffs = _ball_diffs(4, 2, s_r)
         tracemalloc.start()
         try:
-            mask = _sieve_diagonal((1, 1, 1, 160), diffs)
+            mask, _ = _sieve_diagonals([(1, 1, 1, 160)], diffs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -262,22 +364,28 @@ class TestSieveMasks:
             assert all(t.dtype == np.int64 and not t.flags.writeable for t in table)
             assert [t.tolist() for t in table] == [g[d : 2 * d], s[d : 2 * d]]
 
+    def test_gcd_rows_match_math(self):
+        # A modulus per row, on both sides of _GCD_TABLE_MAX: c in
+        # 0.._GCD_TABLE_MAX reads the tables of c, other c take Euclid.
+        rng = np.random.default_rng(7)
+        m = rng.integers(1, 700, size=3000)
+        for c in (rng.integers(0, _GCD_TABLE_MAX + 1, size=3000),
+                  rng.integers(-300, 300, size=3000)):
+            g, inv = _gcd_rows(c, m)
+            for c_i, m_i, g_i, s_i in zip(c.tolist(), m.tolist(), g.tolist(), inv.tolist()):
+                assert g_i == math.gcd(c_i, m_i), (c_i, m_i)
+                assert (s_i * c_i - g_i) % m_i == 0, (c_i, m_i)
+
     @pytest.mark.parametrize(
         "n,p,volume_hi",
         [(2, 1, 600), (2, 2, 600), (2, 3, 600), (2, 4, 600), (3, 1, 200),
          (3, 2, 1419), (3, 3, 200), (4, 1, 40), (4, 2, 40)],
     )
     def test_differences_are_closed_under_the_last_reflection(self, n, p, volume_hi):
-        # The precondition of _sieve_diagonal, at every radius these
+        # The precondition of _sieve_diagonals, at every radius these
         # searches sieve under caps 1 and 2.
-        radii = set()
-        for volume in range(1, volume_hi + 1):
-            s_r, _ = algorithm_radii(n, p, volume)
-            elements = distance_set_at_least(n, p, s_r).elements
-            i = elements.index(s_r)
-            radii |= set(elements[max(i - 1, 0) : i + 1])
         flip = np.array([1] * (n - 1) + [-1])
-        for s in radii:
+        for s in sieved_radii(n, p, volume_hi):
             diffs = _ball_diffs(n, p, s)
             both = {tuple(v) for v in np.concatenate([diffs, -diffs]).tolist()}
             assert {tuple(v) for v in (diffs * flip).tolist()} <= both, s
@@ -358,10 +466,15 @@ class TestHermiteScreen:
         for volume in range(1, volume_hi + 1):
             s_r, _ = algorithm_radii(n, p, volume)
             floor = _packing_floor(n, p, s_r)
-            for diag in _ordered_factorizations(volume, n):
-                if _diagonal_screened(diag, floor):
-                    seen += 1
-                    assert _sieve_diagonal(diag, _ball_diffs(n, p, s_r)).all(), diag
+            diags = [
+                diag
+                for diag in _ordered_factorizations(volume, n)
+                if _diagonal_screened(diag, floor)
+            ]
+            seen += len(diags)
+            if diags:
+                bad, _ = _sieve_diagonals(diags, _ball_diffs(n, p, s_r))
+                assert bad.all(), (volume, diags)
         assert seen == screened
 
     def test_diagonal_screen_reads_the_trailing_block(self):
