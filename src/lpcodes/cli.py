@@ -187,7 +187,12 @@ def _cmd_search(args: argparse.Namespace) -> str | dict:
             _append_checkpoint(args.checkpoint, query).close()
         except (ValueError, OSError) as exc:
             raise CliError(f"--checkpoint: {exc}")
-    report = run_search(query, jobs=jobs, checkpoint=args.checkpoint)
+    report = run_search(
+        query,
+        jobs=jobs,
+        checkpoint=args.checkpoint,
+        progress=sys.stderr if args.progress else None,
+    )
     if args.format == "json":
         return report_to_dict(report)
     return _csv_text(CSV_FIELDS, report_csv_rows(report))
@@ -408,6 +413,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--jobs", type=_positive_int, default=None,
                     help="worker processes (default: QP_JOBS or 1)")
     sp.add_argument("--checkpoint", help="per-volume progress file, resumable")
+    sp.add_argument("--progress", action="store_true",
+                    help="one stderr line per finished volume: volume, hits,"
+                         " sieve survivors, covering passes and ms")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.set_defaults(handler=_cmd_search)
 

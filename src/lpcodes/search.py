@@ -72,16 +72,25 @@ record (canonical form, analysis, orbit size), listed once in the report,
 or size times without dedupe.  An orbit's 2^(n-1) n! images are
 normalized by one batched int64 HNF (`lattices.hnf_stack`).
 
-Volumes are independent, so the search parallelizes over them; the hits
-are finally sorted by (det, canonical form), making reports identical
-regardless of worker count.
+Volumes are independent, so the search parallelizes over them.  The
+volumes left to compute are cut into about 8 runs per worker of
+consecutive volumes, so that one process reuses a run's per-r_min caches
+(difference grid, packing floor, gcd tables), and the runs are queued
+highest first: sieve cost grows with volume, and the cheap low runs fill
+the tail.  A task walks its run upwards and returns after the first
+volume that ends past a time slice (`_SLICE_S`), and the rest of the run
+is queued again, so that a long run reports, and checkpoints, every
+slice.  Results are taken as tasks finish, so checkpoint lines arrive in
+completion order; the hits are finally sorted by (det, canonical form)
+and the counts summed, making reports identical regardless of worker
+count.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache
@@ -285,10 +294,22 @@ def _gcd_table(d: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
+@cache
+def _gcd_flat(top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The `_gcd_table`s of d = 1..top end to end, as read-only int64
+    arrays: the table of d starts at d(d-1)/2."""
+    flat = tuple(map(np.concatenate, zip(*map(_gcd_table, range(1, top + 1)))))
+    for t in flat:
+        t.setflags(write=False)
+    return flat
+
+
 def _gcd_rows(c: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`_gcd_inverse(c, m)` with a modulus per entry, read off the
     `_gcd_table`s of the values of c when 0 <= c <= _GCD_TABLE_MAX, as
-    the sieve's c are difference coordinates and take few values.
+    the sieve's c are difference coordinates and take few values.  The
+    tables come end to end from `_gcd_flat`, sized to the next power of
+    two, so at most 8 sizes are cached.
 
     With m = q * c + r, the table of c at r gives g = gcd(r, c) =
     gcd(c, m) and s with s * r == g (mod c), so s * r + u * c = g for an
@@ -298,8 +319,8 @@ def _gcd_rows(c: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     if not len(c) or c.min() < 0 or c.max() > _GCD_TABLE_MAX:
         return _gcd_inverse(c, m)
-    tables = zip(*(_gcd_table(d) for d in range(1, int(c.max()) + 2)))
-    g_all, s_all = (np.concatenate(t) for t in tables)
+    top = 1 << int(c.max()).bit_length()  # > c.max(), and at least 1
+    g_all, s_all = _gcd_flat(min(top, _GCD_TABLE_MAX))
     one = np.maximum(c, 1)
     q, r = np.divmod(m, one)
     at = one * (one - 1) // 2 + r  # the table of d starts at d(d-1)/2
@@ -574,9 +595,10 @@ class SearchReport:
     bound_provenance: str
 
 
-def _volume_task(
-    args: tuple[int, int, int, int | None]
-) -> tuple[int, list[tuple[Basis, CodeAnalysis, int]], int, int, int]:
+_VolumeResult = tuple[int, list[tuple[Basis, CodeAnalysis, int]], int, int, int]
+
+
+def _volume_task(args: tuple[int, int, int, int | None]) -> _VolumeResult:
     """Process one volume; returns (volume, orbit records, sieve
     survivors, covering passes, millis)."""
     n, p, volume, t_max = args
@@ -642,6 +664,33 @@ def _volume_task(
     return volume, records, inj, len(passes), millis
 
 
+_SLICE_S = 0.5
+"""Seconds of work after which a task of `run_search` returns at its
+next volume's end, so that the parent checkpoints it and queues the rest
+of the run again."""
+
+_RUNS_PER_JOB = 8
+"""About how many runs of consecutive volumes `run_search` gives each
+worker: enough for the cheap low runs to even out the finish, few enough
+that each run reuses its per-r_min caches."""
+
+
+def _run_task(
+    args: tuple[int, int, list[int], int | None, float]
+) -> tuple[list[_VolumeResult], list[int]]:
+    """`_volume_task` over a run of volumes in order, returning after
+    the first volume that ends `slice_s` seconds or more after the start:
+    (the results so far, the volumes left)."""
+    n, p, volumes, t_max, slice_s = args
+    begin = time.monotonic()
+    done = []
+    for i, volume in enumerate(volumes):
+        done.append(_volume_task((n, p, volume, t_max)))
+        if time.monotonic() - begin >= slice_s:
+            return done, volumes[i + 1 :]
+    return done, []
+
+
 def checkpoint_header(query: SearchQuery) -> str:
     """The query fields a checkpoint's records depend on, as kept in the
     `<checkpoint>.query` file written beside it."""
@@ -705,14 +754,25 @@ def run_search(
     query: SearchQuery,
     jobs: int | None = None,
     checkpoint: str | None = None,
+    progress: TextIO | None = None,
 ) -> SearchReport:
     """Execute the query; see module docstring for strategy.
 
-    jobs defaults to the QP_JOBS environment variable, else 1.  With a
-    checkpoint path, volumes recorded there with zero hits are skipped
-    outright and hit-bearing ones are recomputed (the analysis objects
-    are not persisted); each completed volume appends one line.  A
-    checkpoint written for another query raises ValueError.
+    jobs defaults to the QP_JOBS environment variable, else 1.  One job,
+    or one volume to compute, runs the volumes in order in this process.
+    Otherwise a pool of `jobs` processes takes the volumes as about
+    `_RUNS_PER_JOB * jobs` runs of consecutive volumes, highest run
+    first, in tasks of one time slice (`_SLICE_S`) each; the rest of a
+    run is queued again after its slice.  The first error a task raises
+    reaches the caller, and the tasks still queued are cancelled.
+
+    With a checkpoint path, volumes recorded there with zero hits are
+    skipped outright and hit-bearing ones are recomputed (the analysis
+    objects are not persisted); each completed volume appends one line,
+    in completion order.  A checkpoint written for another query raises
+    ValueError.  With a progress stream, each completed volume also
+    writes one line there: its volume, hits, sieve survivors, covering
+    passes and milliseconds.
     """
     if jobs is None:
         jobs = jobs_from_env()
@@ -729,16 +789,41 @@ def run_search(
     def consume(produced) -> None:
         for volume, records, inj, cov, millis in produced:
             results.append((records, inj, cov))
+            hits = sum(s for *_, s in records)
             if ck is not None:
-                ck.write(f"{volume}\t{sum(s for *_, s in records)}\t{millis}\n")
+                ck.write(f"{volume}\t{hits}\t{millis}\n")
                 ck.flush()
+            if progress is not None:
+                progress.write(
+                    f"volume={volume} hits={hits} survivors={inj}"
+                    f" passes={cov} ms={millis}\n"
+                )
+                progress.flush()
 
     try:
         if jobs == 1 or len(tasks) <= 1:
             consume(map(_volume_task, tasks))
         else:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                consume(pool.map(_volume_task, tasks, chunksize=4))
+            size = -(-len(todo) // (_RUNS_PER_JOB * jobs))
+            runs = [todo[lo : lo + size] for lo in range(0, len(todo), size)]
+            pool = ProcessPoolExecutor(max_workers=jobs)
+
+            def submit(run: list[int]) -> Future:
+                args = (query.n, query.p, run, query.t_max, _SLICE_S)
+                return pool.submit(_run_task, args)
+
+            try:
+                pending = {submit(run) for run in reversed(runs)}
+                while pending:
+                    ready, pending = wait(pending, return_when=FIRST_COMPLETED)
+                    # Results before errors, so the checkpoint keeps them.
+                    for future in sorted(ready, key=lambda f: f.exception() is not None):
+                        produced, rest = future.result()
+                        consume(produced)
+                        if rest:
+                            pending.add(submit(rest))
+            finally:
+                pool.shutdown(cancel_futures=True)
     finally:
         if ck is not None:
             ck.close()

@@ -400,6 +400,34 @@ class TestSearchCommand:
         assert rc == 0
         assert "resumed" in json.loads(out)["bound_provenance"]
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_progress_writes_one_stderr_line_per_computed_volume(
+        self, capsys, tmp_path, jobs
+    ):
+        def progress_lines(err):
+            return [dict(f.split("=") for f in line.split()) for line in err.splitlines()]
+
+        args = ("search", "--dim", "3", "--p", "2", "--max-volume", "30",
+                "--jobs", jobs)
+        rc, plain, err = run_cli(capsys, *args)
+        assert (rc, err) == (0, "")
+        ck = str(tmp_path / "ck.tsv")
+        rc, out, err = run_cli(capsys, *args, "--progress", "--checkpoint", ck)
+        assert rc == 0 and out == plain
+        lines = progress_lines(err)
+        keys = ["volume", "hits", "survivors", "passes", "ms"]
+        assert all(list(line) == keys for line in lines)
+        assert sorted(int(line["volume"]) for line in lines) == list(range(1, 31))
+        counts = json.loads(plain)["counts"]
+        assert sum(int(line["survivors"]) for line in lines) == counts[
+            "injectivity_survivors"]
+        assert sum(int(line["passes"]) for line in lines) == counts["covering_survivors"]
+        # A resumed run computes only the hit-bearing volumes again.
+        hit_bearing = sorted(int(line["volume"]) for line in lines if line["hits"] != "0")
+        rc, out, err = run_cli(capsys, *args, "--progress", "--checkpoint", ck)
+        assert rc == 0
+        assert sorted(int(line["volume"]) for line in progress_lines(err)) == hit_bearing
+
     def test_missing_checkpoint_ignores_a_leftover_header(self, capsys, tmp_path):
         """A checkpoint file that is gone holds no records, so a header
         file left beside it from another query does not block a fresh run."""

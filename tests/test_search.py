@@ -10,17 +10,20 @@ cell (the reflection x_n -> -x_n and the unit-row path included), the
 ball-difference grid must match every pairwise difference, every volume
 and every HNF diagonal the Hermite screen skips must have no survivor, the batched covering test must agree with the covering
 radius, and the covering-radius cap the pipeline relies on is checked
-against the analyzer.  Determinism across worker counts, checkpoint
-resume semantics, dedupe behavior, and the serialization helpers each
-get their own checks, and the disputed rows of the bundled 3-D catalog
+against the analyzer.  Determinism across worker counts and time
+slices, the pool's order and error path, checkpoint resume semantics,
+dedupe behavior, and the serialization helpers each get their own checks, and the disputed rows of the bundled 3-D catalog
 are re-measured through the brute-force oracles in conftest.
 """
 
 import dataclasses
 import json
 import math
+import multiprocessing
+import time
 import tracemalloc
 from collections import Counter
+from concurrent.futures import Future
 from functools import cache
 from itertools import product
 
@@ -54,11 +57,13 @@ from lpcodes.search import (
     _diagonal_groups,
     _diagonal_screened,
     _difference_grid,
+    _gcd_flat,
     _gcd_inverse,
     _gcd_rows,
     _gcd_table,
     _hermite_screened,
     _packing_floor,
+    _run_task,
     _sieve_diagonals,
     algorithm_radii,
     analysis_display,
@@ -376,6 +381,23 @@ class TestSieveMasks:
                 assert g_i == math.gcd(c_i, m_i), (c_i, m_i)
                 assert (s_i * c_i - g_i) % m_i == 0, (c_i, m_i)
 
+    def test_gcd_rows_read_every_flat_table_size(self):
+        # The largest c picks the size of the flat table: the least power
+        # of two above it, at most _GCD_TABLE_MAX.
+        rng = np.random.default_rng(11)
+        for top in (0, 1, 2, 3, 7, 8, 24, 31, 32, 33, 64, 127, _GCD_TABLE_MAX):
+            c = np.arange(top + 1, dtype=np.int64).repeat(5)
+            m = rng.integers(1, 700, size=len(c))
+            g, inv = _gcd_rows(c, m)
+            for c_i, m_i, g_i, s_i in zip(c.tolist(), m.tolist(), g.tolist(), inv.tolist()):
+                assert g_i == math.gcd(c_i, m_i), (c_i, m_i)
+                assert (s_i * c_i - g_i) % m_i == 0, (c_i, m_i)
+        flat = _gcd_flat(8)
+        assert all(t.dtype == np.int64 and not t.flags.writeable for t in flat)
+        assert [t.tolist() for t in flat] == [
+            sum((_gcd_table(d)[i].tolist() for d in range(1, 9)), []) for i in (0, 1)
+        ]
+
     @pytest.mark.parametrize(
         "n,p,volume_hi",
         [(2, 1, 600), (2, 2, 600), (2, 3, 600), (2, 4, 600), (3, 1, 200),
@@ -629,11 +651,88 @@ class TestFastPathAgainstReference:
 
 
 class TestDeterminism:
-    def test_reports_identical_across_worker_counts(self):
-        query = SearchQuery(2, 2, 1, 30)
-        base = run_search(query, jobs=1)
-        for jobs in (2, 3):
-            assert run_search(query, jobs=jobs) == base
+    def test_reports_identical_across_worker_counts(self, monkeypatch):
+        # 2-D to 60 is 16 runs of 4 at jobs=2 and 20 runs of 3 at jobs=3.
+        # The parent passes _SLICE_S to each task, so under any start
+        # method a slice of 0 returns after every volume and queues the
+        # rest of its run again.
+        for query in (SearchQuery(2, 2, 1, 60), SearchQuery(3, 2, 1, 40, t_max=2)):
+            base = run_search(query, jobs=1)
+            for slice_s in (lpcodes.search._SLICE_S, 0.0):
+                monkeypatch.setattr(lpcodes.search, "_SLICE_S", slice_s)
+                for jobs in (2, 3):
+                    assert run_search(query, jobs=jobs) == base
+
+
+class TestScheduler:
+    """With a pool, volumes go out as runs of consecutive ones, highest
+    run first, each task returning after a time slice (`_SLICE_S`)."""
+
+    def test_a_task_returns_after_its_slice(self):
+        volumes = [5, 6, 7]
+        done, rest = _run_task((2, 2, volumes, 1, 0.0))
+        assert [r[0] for r in done] == [5] and rest == [6, 7]
+        done, rest = _run_task((2, 2, volumes, 1, math.inf))
+        assert [r[0] for r in done] == volumes and rest == []
+        assert done[0][1:4] == lpcodes.search._volume_task((2, 2, 5, 1))[1:4]
+
+    @pytest.mark.parametrize("slice_s", [lpcodes.search._SLICE_S, 0.0])
+    def test_runs_are_queued_highest_first(self, monkeypatch, slice_s):
+        class InlineExecutor:
+            """Runs each task as it is submitted, recording its volumes."""
+
+            def __init__(self, max_workers):
+                assert max_workers == 2
+                submitted.append([])
+
+            def submit(self, fn, args):
+                submitted[-1].append(args[2])
+                future = Future()
+                future.set_result(fn(args))
+                return future
+
+            def shutdown(self, cancel_futures):
+                assert cancel_futures
+
+        submitted = []
+        monkeypatch.setattr(lpcodes.search, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(lpcodes.search, "_SLICE_S", slice_s)
+        query = SearchQuery(2, 2, 1, 60)
+        assert run_search(query, jobs=2) == run_search(query, jobs=1)
+        (tasks,) = submitted
+        # 60 volumes at 8 runs per job make 15 runs of 4, highest first.
+        assert tasks[:15] == [list(range(m, m + 4)) for m in range(57, 0, -4)]
+        if slice_s:
+            assert len(tasks) == 15
+        else:  # every run comes back after one volume and is queued again
+            assert sorted(map(tuple, tasks[15:])) == sorted(
+                tuple(range(m + i, m + 4)) for m in range(1, 61, 4) for i in (1, 2, 3)
+            )
+
+    def test_an_error_in_a_worker_reaches_the_caller(self, monkeypatch, tmp_path):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("only forked workers see the patched analyze")
+
+        def fails_at_volume_one(basis, p):
+            if basis == ((1, 0), (0, 1)):
+                time.sleep(0.2)  # so the other worker finishes its last run first
+                raise VerificationError("planted failure")
+            return analyze(basis, p)
+
+        monkeypatch.setattr(lpcodes.search, "analyze", fails_at_volume_one)
+        path = tmp_path / "failed.tsv"
+        query = SearchQuery(2, 2, 1, 40)
+        with pytest.raises(VerificationError, match="planted failure"):
+            run_search(query, jobs=2, checkpoint=str(path))
+        # 14 runs of 3 at jobs=2, highest first, so [1, 2, 3] is queued
+        # last and fails at its first volume, after every other volume.
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert sorted(int(line.split("\t")[0]) for line in lines) == list(range(4, 41))
+        monkeypatch.undo()
+        fresh = tmp_path / "fresh.tsv"
+        run_search(query, checkpoint=str(fresh))
+        want = {m: h for m, (h, _) in load_checkpoint(str(fresh)).items() if m >= 4}
+        assert {m: h for m, (h, _) in load_checkpoint(str(path)).items()} == want
 
 
 class TestCheckpoint:
@@ -669,6 +768,21 @@ class TestCheckpoint:
         with open(path, encoding="utf-8") as fh:
             lines_after = len(fh.readlines())
         assert lines_after - lines_before == hit_bearing
+
+    def test_pool_checkpoints_each_volume_once(self, tmp_path):
+        path = tmp_path / "pool.tsv"
+        query = SearchQuery(2, 2, 1, 60)
+        fresh = run_search(query, jobs=2, checkpoint=str(path))
+        assert fresh == run_search(query, jobs=1)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert sorted(int(line.split("\t")[0]) for line in lines) == list(range(1, 61))
+        resumed = run_search(query, jobs=2, checkpoint=str(path))
+        assert resumed.hits == fresh.hits
+        assert resumed.counts.enumerated == fresh.counts.enumerated
+        # only the hit-bearing volumes were recomputed, once each
+        again = path.read_text(encoding="utf-8").splitlines()[len(lines) :]
+        hit_bearing = [m for m, (h, _) in load_checkpoint(str(path)).items() if h > 0]
+        assert sorted(int(line.split("\t")[0]) for line in again) == sorted(hit_bearing)
 
     def test_zero_hit_records_are_trusted(self, tmp_path):
         path = tmp_path / "seeded.tsv"
