@@ -25,7 +25,7 @@ from typing import TextIO
 
 from .analysis import analyze
 from .balls import ball_points, distance_set, mu, pow_radius_of, real_root
-from .errors import DimensionUnsupportedError, SingularMatrixError
+from .errors import CheckpointError, DimensionUnsupportedError, SingularMatrixError
 from .families import (
     BEST_COVERING_DENSITY,
     BEST_PACKING_DENSITY,
@@ -39,16 +39,15 @@ from .families import (
     p_range_B,
     perfect_radius_bound,
 )
+from .lattices import det
 from .search import (
     CSV_FIELDS,
     SearchQuery,
     _SIEVES,
-    _append_checkpoint,
     analysis_display,
     csv_row,
     fraction_str,
     jobs_from_env,
-    load_checkpoint,
     report_csv_rows,
     report_to_dict,
     run_search,
@@ -181,18 +180,15 @@ def _cmd_search(args: argparse.Namespace) -> str | dict:
             jobs = jobs_from_env()
         except ValueError as exc:
             raise CliError(str(exc))
-    if args.checkpoint:
-        try:
-            load_checkpoint(args.checkpoint, query)
-            _append_checkpoint(args.checkpoint, query).close()
-        except (ValueError, OSError) as exc:
-            raise CliError(f"--checkpoint: {exc}")
-    report = run_search(
-        query,
-        jobs=jobs,
-        checkpoint=args.checkpoint,
-        progress=sys.stderr if args.progress else None,
-    )
+    try:
+        report = run_search(
+            query,
+            jobs=jobs,
+            checkpoint=args.checkpoint,
+            progress=sys.stderr if args.progress else None,
+        )
+    except CheckpointError as exc:
+        raise CliError(f"--checkpoint: {exc}")
     if args.format == "json":
         return report_to_dict(report)
     return _csv_text(CSV_FIELDS, report_csv_rows(report))
@@ -353,6 +349,8 @@ def _cmd_polyomino(args: argparse.Namespace) -> str:
         basis = parse_basis(args.basis)
         if len(basis) != 2:
             raise CliError(f"--basis: polyomino tiling needs a 2x2 basis")
+        if det(basis) == 0:
+            raise CliError("--basis: rows are linearly dependent")
         (a, b), (c, d) = basis
         for i in range(-2, 3):
             for j in range(-2, 3):

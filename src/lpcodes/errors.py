@@ -31,6 +31,11 @@ class HypothesisViolatedError(LpCodesError):
     admissible region.  The message names the failing inequality."""
 
 
+class CheckpointError(LpCodesError, ValueError):
+    """A search checkpoint cannot be used: it cannot be opened, holds a
+    malformed line, or was written for another query."""
+
+
 class VerificationError(LpCodesError):
     """A search result failed its re-proof: the full analysis disagreed
     with the verdict that selected it.  This signals a program fault,

@@ -154,16 +154,16 @@ def enumerate_sublattices(n: int, volume: int) -> Iterator[Basis]:
             yield tuple(tuple(r) for r in rows)
 
 
+def hnf_count(diag: tuple[int, ...]) -> int:
+    """How many HNFs have diagonal `diag`: prod d_j**(j-1), the entry
+    tuples of each column j = 1..n."""
+    return prod(d**j for j, d in enumerate(diag))
+
+
 def sublattice_count(n: int, volume: int) -> int:
-    """Number of sublattices of Z^n with index `volume` (closed form:
-    sum over diagonal factorizations of prod d_j**(j-1))."""
-    total = 0
-    for diag in _ordered_factorizations(volume, n):
-        term = 1
-        for j, d in enumerate(diag):
-            term *= d**j
-        total += term
-    return total
+    """Number of sublattices of Z^n with index `volume`: `hnf_count`
+    summed over the diagonal factorizations."""
+    return sum(map(hnf_count, _ordered_factorizations(volume, n)))
 
 
 @cache

@@ -16,19 +16,20 @@ by column: each difference left in the lattice by the earlier columns
 becomes one linear congruence on the next column's entries.  Losing
 candidates are never constructed, and one sieve serves every n <= 4.
 Each congruence c * a == t (mod d) is solved with gcd(c, d) and an
-inverse, read from a cached table for d <= 128, or in column 1 from the
-table of c, which serves every d.  Columns 0 and 1
-enumerate no entry, so a volume's HNF diagonals pass through them
-together, in a few numpy calls with a modulus per row; for n = 2 that is
-the whole sieve.  From column 2 on each diagonal is sieved alone, and at
-the last column a unit c gives the one solution a = c^-1 t, marked
-directly.  Negating x_n maps the HNF with last-column entries a_{i,n-1}
-to the one on the same diagonal with entries -a_{i,n-1} mod d_n, and
-maps the difference set onto itself, so the two get the same verdict.
-For n >= 3 the last column therefore walks only a_{0,n-1} <= d_n // 2,
-and every other cell copies its mirror's verdict.  The difference set
-itself is read off the ball's x_n-fibers, from pairs of points of its
-projection to the first n - 1 coordinates.
+inverse, read from one cached array that holds the tables of the moduli
+d <= 128 end to end: from the table of d, or in column 1 from the table
+of c, which serves every d.  Columns 0 and 1 enumerate no entry, so a
+volume's HNF diagonals pass through them together, in a few numpy calls
+with a modulus per row; for n = 2 that is the whole sieve.  From column
+2 on each diagonal is sieved alone, and at the last column a unit c
+gives the one solution a = c^-1 t, marked directly.  Negating x_n maps
+the HNF with last-column entries a_{i,n-1} to the one on the same
+diagonal with entries -a_{i,n-1} mod d_n, and maps the difference set
+onto itself, so the two get the same verdict.  For n >= 3 the last
+column therefore walks only a_{0,n-1} <= d_n // 2, and every other cell
+copies its mirror's verdict.  The difference set itself is read off the
+ball's x_n-fibers, from pairs of points of its projection to the first
+n - 1 coordinates, each fiber's height an exact integer root.
 
 Survivors are int64 HNF rows, one (n, n) array each, and face the
 covering test at s_cov as they are, a batch of one volume at a time: the
@@ -75,7 +76,7 @@ normalized by one batched int64 HNF (`lattices.hnf_stack`).
 Volumes are independent, so the search parallelizes over them.  The
 volumes left to compute are cut into about 8 runs per worker of
 consecutive volumes, so that one process reuses a run's per-r_min caches
-(difference grid, packing floor, gcd tables), and the runs are queued
+(difference grid, packing floor, gcd table), and the runs are queued
 highest first: sieve cost grows with volume, and the cheap low runs fill
 the tail.  A task walks its run upwards and returns after the first
 volume that ends past a time slice (`_SLICE_S`), and the rest of the run
@@ -106,11 +107,12 @@ from .balls import (
     algorithm_radii,
     ball_points,
     distance_set_at_least,
+    iroot,
     mu,
     real_root,
     successor,
 )
-from .errors import VerificationError
+from .errors import CheckpointError, VerificationError
 from .lattices import (
     Basis,
     _ordered_factorizations,
@@ -118,6 +120,7 @@ from .lattices import (
     congruence_orbit,
     coset_labels,
     enumerate_sublattices,  # not called here; perfbench/tracer.py patches this name
+    hnf_count,
     hnf_det,
     sublattice_count,
 )
@@ -168,23 +171,24 @@ def _difference_grid(n: int, p: int, s: int) -> np.ndarray:
     indexed by d + 2k.
 
     The ball is the union of its x_n-fibers |x_n| <= h(x') over its
-    projection x' to the first n - 1 coordinates, so the fiber of the
-    difference set over d' is |y| <= H(d'), where H(d') is the largest
-    h(x') + h(x'') over the projected pairs with x' - x'' = d'.  Only
-    pairs of projected points are formed.  `ball_points` lists each
-    fiber as one lexicographic run whose last point has x_n = h(x').
+    projection x' to the first n - 1 coordinates, where h(x') =
+    iroot(s - sum |x'_i|^p, p), so the fiber of the difference set over
+    d' is |y| <= H(d'), where H(d') is the largest h(x') + h(x'') over
+    the projected pairs with x' - x'' = d'.  Only pairs of projected
+    points are formed.
 
     Differences are marked at key(d), the flat (mixed-radix) index with
     digits d_i + 2k, so key(d) > key(0) iff d's first nonzero coordinate
     is positive.
     """
-    pts = np.asarray(ball_points(n, p, s), dtype=np.int64).reshape(-1, n)
-    tops = np.flatnonzero(np.append(pts[1:, -1] <= pts[:-1, -1], True))
-    heights = pts[tops, -1]
-    k = int(heights.max())
+    proj = ball_points(n - 1, p, s)
+    heights = np.array(
+        [iroot(s - sum(abs(v) ** p for v in x), p) for x in proj], dtype=np.int64
+    )
+    k = iroot(s, p)
     radix = 4 * k + 1
     weights = radix ** np.arange(n - 2, -1, -1, dtype=np.int64)
-    keys = pts[tops, :-1] @ weights
+    keys = np.array(proj, dtype=np.int64).reshape(len(proj), n - 1) @ weights
     centre = 2 * k * int(weights.sum())
     reach = np.full(radix ** (n - 1), -1, dtype=np.int64)
     for key, top in zip((keys + centre).tolist(), heights.tolist()):
@@ -255,12 +259,12 @@ labels and marks.  Larger chunks raised peak RSS and ran no faster."""
 
 
 _GCD_TABLE_MAX = 128
-"""Largest d that gets a `_gcd_table`.  Tables for every modulus held
-2.8 MB at 2-D p=4 to volume 600, where most moduli occur once, and
-raised that search's peak RSS by 8%.  Column 1 reads the tables of the
-coefficient c instead (`_gcd_rows`): there all 518,051 rows of the 540
-column-1 steps, 79% of them with a modulus above 128, read the tables
-of c = 1..24."""
+"""Largest modulus with a table in `_gcd_flat`.  Tables for every
+modulus held 2.8 MB at 2-D p=4 to volume 600, where most moduli occur
+once, and raised that search's peak RSS by 8%.  Column 1 reads the
+tables of the coefficient c instead (`_gcd_rows`): there all 518,051
+rows of the 540 column-1 steps, 79% of them with a modulus above 128,
+read the tables of c = 1..24."""
 
 _GROUP = 1 << 14
 """Most mask cells, and most (diagonal, difference) pairs, that one
@@ -285,20 +289,12 @@ def _gcd_inverse(c: np.ndarray, d: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
 
 
 @cache
-def _gcd_table(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """`_gcd_inverse` of every residue 0..d-1, as read-only int64 arrays
-    indexed by the residue."""
-    tables = _gcd_inverse(np.arange(d, dtype=np.int64), d)
-    for t in tables:
-        t.setflags(write=False)
-    return tables
-
-
-@cache
 def _gcd_flat(top: int) -> tuple[np.ndarray, np.ndarray]:
-    """The `_gcd_table`s of d = 1..top end to end, as read-only int64
-    arrays: the table of d starts at d(d-1)/2."""
-    flat = tuple(map(np.concatenate, zip(*map(_gcd_table, range(1, top + 1)))))
+    """`_gcd_inverse` of every residue 0..d-1 for d = 1..top, the tables
+    end to end, as read-only int64 arrays: the table of d starts at
+    d(d-1)/2 and is indexed by the residue."""
+    d = np.repeat(np.arange(1, top + 1, dtype=np.int64), np.arange(1, top + 1))
+    flat = _gcd_inverse(np.arange(len(d), dtype=np.int64) - d * (d - 1) // 2, d)
     for t in flat:
         t.setflags(write=False)
     return flat
@@ -306,10 +302,10 @@ def _gcd_flat(top: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _gcd_rows(c: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`_gcd_inverse(c, m)` with a modulus per entry, read off the
-    `_gcd_table`s of the values of c when 0 <= c <= _GCD_TABLE_MAX, as
-    the sieve's c are difference coordinates and take few values.  The
-    tables come end to end from `_gcd_flat`, sized to the next power of
-    two, so at most 8 sizes are cached.
+    `_gcd_flat` tables of the values of c when 0 <= c <= _GCD_TABLE_MAX,
+    as the sieve's c are difference coordinates and take few values.  The
+    flat table is sized to the next power of two, so at most 8 sizes are
+    cached.
 
     With m = q * c + r, the table of c at r gives g = gcd(r, c) =
     gcd(c, m) and s with s * r == g (mod c), so s * r + u * c = g for an
@@ -344,14 +340,6 @@ def _solutions(
     return at, first[at] + i * step[at]
 
 
-def _last_half(diag: tuple[int, ...]) -> int:
-    """How many values of a_{0,n-1} the sieve walks at the last column:
-    0..d_n // 2 where the reflection x_n -> -x_n serves (n >= 3, see
-    `_sieve_diagonals`), else all d_n.  For d_n <= 2 the two agree."""
-    n, d = len(diag), diag[-1]
-    return d // 2 + 1 if n >= 3 else d
-
-
 def _sieve_column(
     bad: np.ndarray, diag: tuple[int, ...], j: int, rows: np.ndarray
 ) -> None:
@@ -365,24 +353,27 @@ def _sieve_column(
     t = v_j - sum_{i<j} c_i * a_ij to be a multiple of d_j: a_0j..a_{j-2,j}
     are enumerated, a_{j-1,j} is solved for, and each solution carries
     the row on with c_j = t / d_j, or is marked at the last column.
-    g = gcd(c_{j-1}, d_j) and the inverse come from `_gcd_table` for
-    d_j <= _GCD_TABLE_MAX, else from `_gcd_inverse` on the rows.
+    g = gcd(c_{j-1}, d_j) and the inverse come from the table of d_j in
+    `_gcd_flat` for d_j <= _GCD_TABLE_MAX, else from `_gcd_inverse` on
+    the rows.
 
     At the last column a row with g = 1 has exactly one solution per
     entry, a = inverse * t mod d_j, which is marked directly.  The last
-    column walks only the entry tuples with a_{0,j} < `_last_half(diag)`,
-    a prefix of the enumeration order; `_sieve_diagonals` fills in the
-    rest by the reflection x_n -> -x_n.
+    column walks only the entry tuples with a_{0,j} <= d_j // 2, a prefix
+    of the enumeration order; `_sieve_diagonals` fills in the rest by the
+    reflection x_n -> -x_n, which serves for n >= 3, as here.
     """
     if not len(rows):
         return
     d, last = diag[j], j + 1 == len(diag)
     per = d ** (j - 1)
-    walked = _last_half(diag) * per // d if last else per
+    walked = (d // 2 + 1) * per // d if last else per
     entries = np.indices((d,) * (j - 1)).reshape(j - 1, per).T[:walked]
     size = max(1, _CHUNK // walked)
     if d <= _GCD_TABLE_MAX:
-        g_all, inv_all = (t[rows[:, j] % d] for t in _gcd_table(d))
+        flat = _gcd_flat(min(1 << d.bit_length(), _GCD_TABLE_MAX))
+        at = d * (d - 1) // 2 + rows[:, j] % d  # the table of d, at c mod d
+        g_all, inv_all = flat[0][at], flat[1][at]
     else:
         g_all, inv_all = _gcd_inverse(rows[:, j], d)
     if last:
@@ -412,11 +403,6 @@ def _sieve_column(
         _sieve_column(bad, diag, j + 1, nxt)
 
 
-def _cells(diag: tuple[int, ...]) -> int:
-    """How many HNFs have diagonal `diag`: d_j^j entry tuples per column."""
-    return prod(d**j for j, d in enumerate(diag))
-
-
 def _sieve_diagonals(
     diags: list[tuple[int, ...]], diffs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -439,15 +425,15 @@ def _sieve_diagonals(
     the HNF with last-column entries a_{i,n-1} to the one on the same
     diagonal with entries -a_{i,n-1} mod d_n, and maps +-`diffs` onto
     itself, so the two cells get the same verdict.  For n >= 3 the walk
-    marks only cells with a_{0,n-1} < `_last_half(diag)`; every other
-    cell has a_{0,n-1} > d_n // 2, is never marked, and takes the
-    verdict of its mirror cell, which has a_{0,n-1} < d_n / 2 and was
-    fully sieved.  That copy equals OR-ing the diagonal's mask with its
-    mirror image.  It is one fancy index with an index array of length
-    d_n per last-column axis, and its one temporary holds less than half
-    the diagonal's mask.
+    marks only cells with a_{0,n-1} <= d_n // 2; every other cell has
+    a_{0,n-1} > d_n // 2, is never marked, and takes the verdict of its
+    mirror cell, which has a_{0,n-1} < d_n / 2 and was fully sieved.
+    That copy equals OR-ing the diagonal's mask with its mirror image.
+    It is one fancy index with an index array of length d_n per
+    last-column axis, and its one temporary holds less than half the
+    diagonal's mask.
     """
-    starts = np.cumsum([0] + [_cells(diag) for diag in diags])
+    starts = np.cumsum([0] + [hnf_count(diag) for diag in diags])
     bad = np.zeros(starts[-1], dtype=bool)
     if not len(diffs):  # nothing to mark, as when r_min = 0
         return bad, starts
@@ -476,7 +462,7 @@ def _sieve_diagonals(
             continue
         mask = bad[starts[q] : starts[q + 1]]
         _sieve_column(mask, diag, 2, rows[cuts[q] : cuts[q + 1]])
-        d, half = diag[-1], _last_half(diag)
+        d, half = diag[-1], diag[-1] // 2 + 1
         if half < d:
             cells = mask.reshape(-1, *(d,) * (n - 1))
             neg = -np.arange(d) % d
@@ -519,7 +505,7 @@ def _diagonal_groups(
     group: list[tuple[int, ...]] = []
     cells = 0
     for diag in diags:
-        size = _cells(diag)
+        size = hnf_count(diag)
         if group and (cells + size > _GROUP or (len(group) + 1) * width > _GROUP):
             yield group
             group, cells = [], 0
@@ -706,8 +692,9 @@ def load_checkpoint(
     (resumed runs append fresh lines for recomputed volumes).  A final
     line without its newline is what an interrupted write leaves; it is
     ignored, so that volume is recomputed.  Given a query, a
-    `<path>.query` file naming another query raises ValueError, because
-    the records would answer that query; without one the file loads.
+    `<path>.query` file naming another query raises CheckpointError,
+    because the records would answer that query; without one the file
+    loads.  A malformed line raises CheckpointError too.
     """
     out: dict[int, tuple[int, int]] = {}
     if not os.path.exists(path):
@@ -716,15 +703,18 @@ def load_checkpoint(
         with open(path + ".query", "r", encoding="utf-8") as fh:
             written = fh.read().strip()
         if written != checkpoint_header(query):
-            raise ValueError(
+            raise CheckpointError(
                 f"checkpoint {path} was written for {written!r}, "
                 f"not for {checkpoint_header(query)!r}"
             )
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh.read().split("\n")[:-1]:
-            if line.strip():
-                m, h, ms = line.split("\t")
-                out[int(m)] = (int(h), int(ms))
+        lines = fh.read().split("\n")[:-1]
+    for line in filter(str.strip, lines):
+        try:
+            m, h, ms = map(int, line.split("\t"))
+        except ValueError:
+            raise CheckpointError(f"checkpoint {path} has a malformed line {line!r}")
+        out[m] = (h, ms)
     return out
 
 
@@ -769,22 +759,26 @@ def run_search(
     With a checkpoint path, volumes recorded there with zero hits are
     skipped outright and hit-bearing ones are recomputed (the analysis
     objects are not persisted); each completed volume appends one line,
-    in completion order.  A checkpoint written for another query raises
-    ValueError.  With a progress stream, each completed volume also
-    writes one line there: its volume, hits, sieve survivors, covering
-    passes and milliseconds.
+    in completion order.  A checkpoint that cannot be opened, holds a
+    malformed line or was written for another query raises
+    CheckpointError, a ValueError, before any volume is computed.  With
+    a progress stream, each completed volume also writes one line there:
+    its volume, hits, sieve survivors, covering passes and milliseconds.
     """
     if jobs is None:
         jobs = jobs_from_env()
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    done = load_checkpoint(checkpoint, query) if checkpoint else {}
+    try:
+        done = load_checkpoint(checkpoint, query) if checkpoint else {}
+        ck = _append_checkpoint(checkpoint, query) if checkpoint else None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CheckpointError(str(exc)) from exc
     volumes = list(range(query.volume_min, query.volume_max + 1))
     skipped = [m for m in volumes if m in done and done[m][0] == 0]
     todo = [m for m in volumes if m not in done or done[m][0] != 0]
     tasks = [(query.n, query.p, m, query.t_max) for m in todo]
     results: list[tuple[list[tuple[Basis, CodeAnalysis, int]], int, int]] = []
-    ck = _append_checkpoint(checkpoint, query) if checkpoint else None
 
     def consume(produced) -> None:
         for volume, records, inj, cov, millis in produced:

@@ -126,6 +126,14 @@ class TestExitCodes:
         assert rc == 1
         assert "--basis" in err
 
+    @pytest.mark.parametrize("basis", ["1,2;2,4", "1,0;0,0"])
+    def test_polyomino_singular_basis(self, capsys, basis):
+        rc, out, err = run_cli(capsys, "polyomino", "--p", "2", "--r", "3",
+                               "--basis", basis)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: --basis:")
+
     def test_polyomino_is_planar_only(self, capsys):
         rc, _, err = run_cli(capsys, "polyomino", "--dim", "3", "--p", "2",
                              "--r", "2")
@@ -153,6 +161,17 @@ class TestExitCodes:
         assert rc == 1
         assert out == ""
         assert err.startswith("error: --checkpoint:")
+
+    def test_search_malformed_checkpoint_names_it(self, capsys, tmp_path):
+        ck = tmp_path / "ck.tsv"
+        ck.write_text("1\t1\t0\n2\tzero\t0\n", encoding="utf-8")
+        rc, out, err = run_cli(capsys, "search", "--dim", "2", "--p", "2",
+                               "--max-volume", "10", "--checkpoint", str(ck))
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: --checkpoint:")
+        assert "zero" in err
+        assert ck.read_text(encoding="utf-8") == "1\t1\t0\n2\tzero\t0\n"
 
     def test_family_hypothesis_violation(self, capsys):
         rc, _, err = run_cli(capsys, "family", "--kind", "C", "--r", "3",

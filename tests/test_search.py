@@ -32,9 +32,10 @@ import pytest
 
 import lpcodes.search
 from conftest import brute_covering_pow, brute_packing_pow, difference_grid_pairwise
-from lpcodes import VerificationError
+from lpcodes import LpCodesError, VerificationError
 from lpcodes.analysis import analyze, covering_radius_pow
 from lpcodes.balls import ball_points, distance_set_at_least, mu, successor
+from lpcodes.errors import CheckpointError
 from lpcodes.lattices import (
     _ordered_factorizations,
     canonical_form,
@@ -42,6 +43,7 @@ from lpcodes.lattices import (
     coset_labels,
     enumerate_sublattices,
     hnf,
+    hnf_count,
     sublattice_count,
 )
 from lpcodes.search import (
@@ -53,14 +55,12 @@ from lpcodes.search import (
     _HERMITE,
     _SIEVES,
     _ball_diffs,
-    _cells,
     _diagonal_groups,
     _diagonal_screened,
     _difference_grid,
     _gcd_flat,
     _gcd_inverse,
     _gcd_rows,
-    _gcd_table,
     _hermite_screened,
     _packing_floor,
     _run_task,
@@ -318,8 +318,8 @@ class TestSieveMasks:
         # than _GROUP, so it forms a group of its own.
         diags = list(_ordered_factorizations(131, 3))
         diffs = _ball_diffs(3, 2, 2)
-        assert _cells((1, 1, 131)) > _GROUP
-        assert _cells((1, 131, 1)) + _cells((131, 1, 1)) <= _GROUP
+        assert hnf_count((1, 1, 131)) > _GROUP
+        assert hnf_count((1, 131, 1)) + hnf_count((131, 1, 1)) <= _GROUP
         groups = list(_diagonal_groups(diags, len(diffs)))
         assert groups == [[(1, 1, 131)], [(1, 131, 1), (131, 1, 1)]]
         # So does every diagonal once a group of two holds too many pairs.
@@ -356,7 +356,9 @@ class TestSieveMasks:
 
     def test_gcd_inverse_and_tables_match_math(self):
         # Rows carry any integer c, negative ones included; a table is
-        # indexed by c mod d.
+        # indexed by c mod d.  For d <= _GCD_TABLE_MAX the flat table holds
+        # _gcd_inverse(np.arange(d), d) at d(d-1)/2.
+        flat = _gcd_flat(_GCD_TABLE_MAX)
         for d in range(1, 301):
             c = np.arange(-d, 2 * d, dtype=np.int64)
             g, s = (t.tolist() for t in _gcd_inverse(c, d))
@@ -365,9 +367,9 @@ class TestSieveMasks:
                 assert g_i == want, (c_i, d)
                 assert (s_i * c_i - want) % d == 0, (c_i, d)
                 assert s_i % (d // want) == pow(c_i // want, -1, d // want), (c_i, d)
-            table = _gcd_table(d)
-            assert all(t.dtype == np.int64 and not t.flags.writeable for t in table)
-            assert [t.tolist() for t in table] == [g[d : 2 * d], s[d : 2 * d]]
+            if d <= _GCD_TABLE_MAX:
+                table = [t[d * (d - 1) // 2 :][:d].tolist() for t in flat]
+                assert table == [g[d : 2 * d], s[d : 2 * d]]
 
     def test_gcd_rows_match_math(self):
         # A modulus per row, on both sides of _GCD_TABLE_MAX: c in
@@ -392,11 +394,14 @@ class TestSieveMasks:
             for c_i, m_i, g_i, s_i in zip(c.tolist(), m.tolist(), g.tolist(), inv.tolist()):
                 assert g_i == math.gcd(c_i, m_i), (c_i, m_i)
                 assert (s_i * c_i - g_i) % m_i == 0, (c_i, m_i)
-        flat = _gcd_flat(8)
-        assert all(t.dtype == np.int64 and not t.flags.writeable for t in flat)
-        assert [t.tolist() for t in flat] == [
-            sum((_gcd_table(d)[i].tolist() for d in range(1, 9)), []) for i in (0, 1)
-        ]
+        # Each size is a prefix of the largest, whose table of d starts at
+        # d(d-1)/2 (checked in test_gcd_inverse_and_tables_match_math).
+        largest = _gcd_flat(_GCD_TABLE_MAX)
+        for size in (1, 2, 4, 8, 16, 32, 64, _GCD_TABLE_MAX):
+            flat = _gcd_flat(size)
+            assert all(t.dtype == np.int64 and not t.flags.writeable for t in flat)
+            assert all(len(t) == size * (size + 1) // 2 for t in flat)
+            assert all(np.array_equal(t, big[: len(t)]) for t, big in zip(flat, largest))
 
     @pytest.mark.parametrize(
         "n,p,volume_hi",
@@ -825,6 +830,29 @@ class TestCheckpoint:
         assert resumed.hits == run_search(query).hits
         with open(path + ".query", encoding="utf-8") as fh:
             assert fh.read() == checkpoint_header(query) + "\n"
+
+    def test_unusable_checkpoint_raises_checkpoint_error(self, tmp_path):
+        assert issubclass(CheckpointError, LpCodesError)
+        assert issubclass(CheckpointError, ValueError)
+        malformed = tmp_path / "malformed.tsv"
+        malformed.write_text("1\t1\t0\n2\t0\n", encoding="utf-8")
+        other = tmp_path / "other.tsv"
+        other.write_text("1\t1\t0\n", encoding="utf-8")
+        (tmp_path / "other.tsv.query").write_text("n=4 p=2 t_max=1\n", encoding="utf-8")
+        binary = tmp_path / "binary.tsv"
+        binary.write_bytes(b"1\t\xff\t0\n")
+        query = SearchQuery(2, 2, 1, 5)
+        for path, match in (
+            (malformed, "malformed line"),
+            (binary, "codec"),
+            (other, "written for 'n=4 p=2 t_max=1'"),
+            (tmp_path, "Is a directory"),
+            (tmp_path / "missing_dir" / "ck.tsv", "No such file"),
+        ):
+            with pytest.raises(CheckpointError, match=match):
+                run_search(query, checkpoint=str(path))
+        assert malformed.read_text(encoding="utf-8") == "1\t1\t0\n2\t0\n"
+        assert other.read_text(encoding="utf-8") == "1\t1\t0\n"
 
     def test_parse_last_line_wins_and_missing_file_is_empty(self, tmp_path):
         path = tmp_path / "dupes.tsv"

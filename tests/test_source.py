@@ -6,7 +6,8 @@ benchmark's tracer patches library functions by name, so renaming or
 deleting one of them must fail here, not only in a traced benchmark run,
 and so must changing how the search calls them: the tracer's wrappers
 pass the sieve's arguments positionally and read `covering_test`'s as
-(basis, p, s).
+(basis, p, s).  Every imported name must be used, except those the
+tracer patches under a name the module itself no longer calls.
 """
 
 import ast
@@ -23,6 +24,15 @@ from lpcodes.search import SearchQuery, report_to_dict, run_search
 LIBRARY = Path(lpcodes.__file__).parent
 PERFBENCH = LIBRARY.parents[1] / "perfbench"
 
+# (module, name) imported but not used there: perfbench/tracer.py patches
+# each of these bindings.
+TRACER_ONLY_IMPORTS = {
+    ("search", "canonical_form"),
+    ("search", "enumerate_sublattices"),
+    ("analysis", "distance_set"),
+    ("analysis", "closest_lattice_distance_pow"),
+}
+
 
 def test_library_has_no_assert_statements():
     found = [
@@ -33,6 +43,29 @@ def test_library_has_no_assert_statements():
     ]
     assert len(list(LIBRARY.glob("*.py"))) > 1
     assert found == []
+
+
+def test_every_imported_name_is_used():
+    unused = set()
+    for path in sorted(LIBRARY.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = {
+            item.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for item in node.value.elts
+        }
+        unused |= {(path.stem, name) for name in imported - used - exported}
+    assert unused == TRACER_ONLY_IMPORTS
 
 
 def test_benchmark_tracer_finds_every_name_it_patches():
