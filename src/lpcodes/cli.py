@@ -33,7 +33,6 @@ from .families import (
     bound_report,
     bound_row,
     family,
-    last_feasible_radius,
     min_p_threshold_A,
     neighbors_in_distance_set,
     p_range_B,
@@ -281,10 +280,10 @@ def _table1() -> str:
     theta = BEST_COVERING_DENSITY[(2, 2)]
     delta = BEST_PACKING_DENSITY[(2, 2)]
     anchors = [
-        ("perfect", last_feasible_radius(2, 2, theta, "perfect", 7)),
+        ("perfect", bound_report(2, 2, theta, "perfect", 7).r_pow_max),
         ("perfect", perfect_radius_bound(2, 2, delta)[1]),
-        ("quasiperfect", last_feasible_radius(2, 2, theta, "quasiperfect", 7)),
-        ("quasiperfect", last_feasible_radius(2, 2, theta, "quasiperfect", 8)),
+        ("quasiperfect", bound_report(2, 2, theta, "quasiperfect", 7).r_pow_max),
+        ("quasiperfect", bound_report(2, 2, theta, "quasiperfect", 8).r_pow_max),
     ]
     rows = []
     for mode, anchor in anchors:

@@ -30,14 +30,16 @@ FamilyKind = Literal["A", "B", "C", "D"]
 
 # Best known lattice packing density (supremum) and covering density
 # (infimum) per (n, p).  Literature constants; the exact closed forms are
-# pi/sqrt(12) ~ 0.9069 and 2*pi/sqrt(27) ~ 1.2092 for the Euclidean plane
-# and 5*sqrt(5)*pi/24 ~ 1.4635 for Euclidean 3-space.
+# pi/sqrt(12) ~ 0.9069 and 2*pi/sqrt(27) ~ 1.2092 for the Euclidean plane,
+# 5*sqrt(5)*pi/24 ~ 1.4635 for Euclidean 3-space and, for 4-space, the A4*
+# covering 2*sqrt(5)*pi**2/25 ~ 1.7655 (Conway and Sloane, Ch. 2).
 BEST_PACKING_DENSITY: dict[tuple[int, int], float] = {
     (2, 2): math.pi / math.sqrt(12.0),
 }
 BEST_COVERING_DENSITY: dict[tuple[int, int], float] = {
     (2, 2): 2.0 * math.pi / math.sqrt(27.0),
     (3, 2): 5.0 * math.sqrt(5.0) * math.pi / 24.0,
+    (4, 2): 2.0 * math.sqrt(5.0) * math.pi**2 / 25.0,
 }
 
 
@@ -195,7 +197,8 @@ def bound_row(
     """Density bounds implied by a (quasi-)perfect code of packing
     pow-radius r_pow.
 
-    delta_lower: lower bound on the packing-density supremum.
+    delta_lower: lower bound on the packing-density supremum; 0 when
+        2r < n^(1/p), where the inner ball it counts is empty.
     theta_upper_7: upper bound on the covering-density infimum via the
         covering radius (equal to r for perfect mode, the distance-set
         successor of r for quasi-perfect mode) plus half the lattice cell
@@ -211,7 +214,7 @@ def bound_row(
     nroot = n ** (1.0 / p)
     vol = unit_ball_volume(n, p)
     count = mu(n, p, r_pow)
-    delta_lower = ((2.0 * r - nroot) / (2.0 * r + nroot)) ** n
+    delta_lower = (max(2.0 * r - nroot, 0.0) / (2.0 * r + nroot)) ** n
     theta7 = vol * (big + nroot / 2.0) ** n / count
     theta8 = vol * (r + nroot) ** n / count
     return BoundRow(r_pow, count, delta_lower, theta7, theta8)
@@ -228,17 +231,20 @@ class BoundReport:
     volume_max: int
 
 
-def _feasible_scan(
+def bound_report(
     n: int,
     p: int,
     theta_min: float,
-    mode: Literal["perfect", "quasiperfect"],
+    mode: Literal["perfect", "quasiperfect"] = "quasiperfect",
     inequality: Literal[7, 8] = 7,
-) -> tuple[int, list[int]]:
+) -> BoundReport:
     """Walk the distance set upward while the chosen covering bound
-    (theta_upper_7 or theta_upper_8 >= theta_min) stays satisfiable,
-    returning the last feasible pow-radius and the full list of feasible
-    ones.
+    (theta_upper_7 or theta_upper_8 >= theta_min, by `inequality`) stays
+    satisfiable, keeping one row per feasible pow-radius.
+
+    r_pow_max is the last feasible pow-radius (0 when none is), and
+    volume_max the largest lattice volume a (quasi-)perfect code of that
+    radius can have before its covering density would beat theta_min.
 
     Termination: the bound ratio drifts below theta_min permanently, but
     it wiggles locally, so the scan only stops after a run of consecutive
@@ -248,74 +254,33 @@ def _feasible_scan(
         raise ValueError("theta_min must be finite and exceed 1")
     if inequality not in (7, 8):
         raise ValueError("inequality must be 7 or 8")
-    feasible: list[int] = []
-    last_ok = 0
+    rows: list[BoundRow] = []
     fail_start: int | None = None
     s = successor(n, p, 0)
     while True:
         row = bound_row(n, p, s, mode)
         theta = row.theta_upper_7 if inequality == 7 else row.theta_upper_8
         if theta >= theta_min:
-            feasible.append(s)
-            last_ok = s
+            rows.append(row)
             fail_start = None
-        else:
-            if fail_start is None:
-                fail_start = s
-            elif s >= 4 * fail_start:
-                return last_ok, feasible
+        elif fail_start is None:
+            fail_start = s
+        elif s >= 4 * fail_start:
+            break
         s = successor(n, p, s)
-
-
-def last_feasible_radius(
-    n: int,
-    p: int,
-    theta_min: float,
-    mode: Literal["perfect", "quasiperfect"] = "quasiperfect",
-    inequality: Literal[7, 8] = 7,
-) -> int:
-    """Largest pow-radius whose covering-density bound still clears
-    theta_min.  `inequality` picks the bound variant: 7 uses the
-    covering-radius form (successor-based for quasi-perfect mode), 8 the
-    coarser packing-radius-only form."""
-    last_ok, _ = _feasible_scan(n, p, theta_min, mode, inequality)
-    return last_ok
-
-
-def max_search_volume(
-    n: int,
-    p: int,
-    theta_min: float,
-    mode: Literal["perfect", "quasiperfect"] = "quasiperfect",
-) -> int:
-    """Largest lattice volume a (quasi-)perfect code can have before its
-    covering density would beat the best known covering density theta_min."""
-    last_ok, _ = _feasible_scan(n, p, theta_min, mode)
+    r_pow_max = rows[-1].r_pow if rows else 0
     nroot = n ** (1.0 / p)
-    big_pow = last_ok if mode == "perfect" else successor(n, p, last_ok)
+    big_pow = r_pow_max if mode == "perfect" else successor(n, p, r_pow_max)
     big = real_root(big_pow, p)
     vol = unit_ball_volume(n, p)
-    return math.floor(vol * (big + nroot / 2.0) ** n / theta_min)
-
-
-def bound_report(
-    n: int,
-    p: int,
-    theta_min: float,
-    mode: Literal["perfect", "quasiperfect"] = "quasiperfect",
-) -> BoundReport:
-    """Bundle the feasibility scan into a report, one row per feasible
-    pow-radius."""
-    last_ok, feasible = _feasible_scan(n, p, theta_min, mode)
-    rows = tuple(bound_row(n, p, s, mode) for s in feasible)
     return BoundReport(
         n=n,
         p=p,
         theta_min=theta_min,
         mode=mode,
-        rows=rows,
-        r_pow_max=last_ok,
-        volume_max=max_search_volume(n, p, theta_min, mode),
+        rows=tuple(rows),
+        r_pow_max=r_pow_max,
+        volume_max=math.floor(vol * (big + nroot / 2.0) ** n / theta_min),
     )
 
 

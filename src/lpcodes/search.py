@@ -581,12 +581,12 @@ class SearchReport:
     bound_provenance: str
 
 
-_VolumeResult = tuple[int, list[tuple[Basis, CodeAnalysis, int]], int, int, int]
+_VolumeResult = tuple[int, list[tuple[Basis, CodeAnalysis, int]], int, int, float]
 
 
 def _volume_task(args: tuple[int, int, int, int | None]) -> _VolumeResult:
     """Process one volume; returns (volume, orbit records, sieve
-    survivors, covering passes, millis)."""
+    survivors, covering passes, seconds)."""
     n, p, volume, t_max = args
     begin = time.monotonic()
     k = inf if t_max is None else t_max
@@ -646,8 +646,7 @@ def _volume_task(args: tuple[int, int, int, int | None]) -> _VolumeResult:
             raise VerificationError(f"mu_r <= det <= mu_R fails for {a}")
         if a.t <= k:
             records.append((canon, a, len(orbit)))
-    millis = int((time.monotonic() - begin) * 1000.0)
-    return volume, records, inj, len(passes), millis
+    return volume, records, inj, len(passes), time.monotonic() - begin
 
 
 _SLICE_S = 0.5
@@ -763,7 +762,8 @@ def run_search(
     malformed line or was written for another query raises
     CheckpointError, a ValueError, before any volume is computed.  With
     a progress stream, each completed volume also writes one line there:
-    its volume, hits, sieve survivors, covering passes and milliseconds.
+    its volume, hits, sieve survivors, covering passes and milliseconds
+    to one decimal.
     """
     if jobs is None:
         jobs = jobs_from_env()
@@ -781,16 +781,16 @@ def run_search(
     results: list[tuple[list[tuple[Basis, CodeAnalysis, int]], int, int]] = []
 
     def consume(produced) -> None:
-        for volume, records, inj, cov, millis in produced:
+        for volume, records, inj, cov, seconds in produced:
             results.append((records, inj, cov))
             hits = sum(s for *_, s in records)
             if ck is not None:
-                ck.write(f"{volume}\t{hits}\t{millis}\n")
+                ck.write(f"{volume}\t{hits}\t{int(seconds * 1000.0)}\n")
                 ck.flush()
             if progress is not None:
                 progress.write(
                     f"volume={volume} hits={hits} survivors={inj}"
-                    f" passes={cov} ms={millis}\n"
+                    f" passes={cov} ms={seconds * 1000.0:.1f}\n"
                 )
                 progress.flush()
 

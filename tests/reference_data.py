@@ -58,6 +58,10 @@ LAST_FEASIBLE_QUASI_INEQ8 = 196
 LAST_FEASIBLE_PERFECT_INEQ7 = 49
 PERFECT_RADIUS_BOUND_RPOW = 833
 MAX_SEARCH_VOLUME_2D = 242  # closed form; the gated search cap is 241
+# (r_pow_max, volume_max) of bound_report(n, 2, BEST_COVERING_DENSITY[(n, 2)]),
+# n = 2, 3, 4; the 4-D cap uses the exact A4* density, not the rounded 1.7655,
+# which lies below it and admits one volume more.
+BOUND_RANGES_P2 = {2: (74, 242), 3: (49, 1431), 4: (49, 11860)}
 
 # --------------------------------------------------------------------------
 # tables --which table2: every volume-24 planar lattice under p=2, one row

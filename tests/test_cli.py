@@ -15,6 +15,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -441,6 +442,10 @@ class TestSearchCommand:
         assert sum(int(line["survivors"]) for line in lines) == counts[
             "injectivity_survivors"]
         assert sum(int(line["passes"]) for line in lines) == counts["covering_survivors"]
+        # Times keep one decimal, where the checkpoint keeps whole millis.
+        assert all(re.fullmatch(r"\d+\.\d", line["ms"]) for line in lines)
+        checkpoint = Path(ck).read_text(encoding="utf-8").splitlines()
+        assert all(row.split("\t")[2].isdecimal() for row in checkpoint)
         # A resumed run computes only the hit-bearing volumes again.
         hit_bearing = sorted(int(line["volume"]) for line in lines if line["hits"] != "0")
         rc, out, err = run_cli(capsys, *args, "--progress", "--checkpoint", ck)
@@ -565,6 +570,14 @@ class TestSmallCommands:
         radii = [int(r["r_pow"]) for r in rows]
         assert radii == sorted(radii)
         assert radii[-1] == 74
+
+    @pytest.mark.parametrize("dim", ["3", "4"])
+    def test_bounds_delta_lower_is_zero_when_the_inner_ball_is_empty(self, capsys, dim):
+        rc, out, _ = run_cli(capsys, "bounds", "--dim", dim, "--p", "1",
+                             "--theta-min", "1.5")
+        assert rc == 0
+        first = parse_csv(out)[0]
+        assert (first["r_pow"], first["delta_lower"]) == ("1", "0.0000")
 
     def test_console_script_is_installed(self, tmp_path):
         module, _, attr = declared_console_script("lpcodes").partition(":")

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from lpcodes import families
 from lpcodes.analysis import analyze
 from lpcodes.balls import distance_set_at_least, mu, unit_ball_volume
 from lpcodes.errors import HypothesisViolatedError
@@ -19,8 +20,6 @@ from lpcodes.families import (
     bound_report,
     bound_row,
     family,
-    last_feasible_radius,
-    max_search_volume,
     min_p_threshold_A,
     neighbors_in_distance_set,
     p_range_B,
@@ -29,6 +28,7 @@ from lpcodes.families import (
 from lpcodes.lattices import canonical_form, det
 
 from reference_data import (
+    BOUND_RANGES_P2,
     FAMILY_A_R3_CATALOG_TWIN,
     LAST_FEASIBLE_PERFECT_INEQ7,
     LAST_FEASIBLE_QUASI_INEQ7,
@@ -201,13 +201,13 @@ class TestBounds:
 
     def test_anchor_radii(self):
         theta = BEST_COVERING_DENSITY[(2, 2)]
-        assert last_feasible_radius(2, 2, theta, "quasiperfect", 7) == (
+        assert bound_report(2, 2, theta, "quasiperfect", 7).r_pow_max == (
             LAST_FEASIBLE_QUASI_INEQ7
         )
-        assert last_feasible_radius(2, 2, theta, "quasiperfect", 8) == (
+        assert bound_report(2, 2, theta, "quasiperfect", 8).r_pow_max == (
             LAST_FEASIBLE_QUASI_INEQ8
         )
-        assert last_feasible_radius(2, 2, theta, "perfect", 7) == (
+        assert bound_report(2, 2, theta, "perfect", 7).r_pow_max == (
             LAST_FEASIBLE_PERFECT_INEQ7
         )
         # infeasibility on the far side of each anchor
@@ -222,9 +222,73 @@ class TestBounds:
         with pytest.raises(ValueError):
             perfect_radius_bound(2, 2, 1.2)
 
-    def test_max_search_volume(self):
+    def test_volume_max(self):
         theta = BEST_COVERING_DENSITY[(2, 2)]
-        assert max_search_volume(2, 2, theta) == MAX_SEARCH_VOLUME_2D
+        assert bound_report(2, 2, theta).volume_max == MAX_SEARCH_VOLUME_2D
+
+    @pytest.mark.parametrize("n", sorted(BOUND_RANGES_P2))
+    def test_pinned_p2_ranges(self, n):
+        rep = bound_report(n, 2, BEST_COVERING_DENSITY[(n, 2)])
+        assert (rep.r_pow_max, rep.volume_max) == BOUND_RANGES_P2[n]
+
+    @pytest.mark.parametrize("n, distinct", [(2, 119), (3, 168)])
+    def test_one_row_per_radius(self, monkeypatch, n, distinct):
+        """One report computes each scanned radius's row exactly once."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return bound_row(*args)
+
+        monkeypatch.setattr(families, "bound_row", counted)
+        bound_report(n, 2, BEST_COVERING_DENSITY[(n, 2)])
+        assert len(calls) == len(set(calls)) == distinct
+
+    @pytest.mark.parametrize(
+        "n, p, theta, mode, inequality",
+        [
+            (2, 2, BEST_COVERING_DENSITY[(2, 2)], "quasiperfect", 7),
+            (2, 2, BEST_COVERING_DENSITY[(2, 2)], "quasiperfect", 8),
+            (2, 2, BEST_COVERING_DENSITY[(2, 2)], "perfect", 7),
+            (3, 2, BEST_COVERING_DENSITY[(3, 2)], "quasiperfect", 7),
+            (4, 2, BEST_COVERING_DENSITY[(4, 2)], "quasiperfect", 7),
+            (2, 1, 1.5, "quasiperfect", 7),
+            (3, 1, 1.5, "quasiperfect", 7),
+            (2, 3, 1.2, "quasiperfect", 7),
+            (2, 4, 1.25, "quasiperfect", 7),
+            (2, 5, 1.3, "quasiperfect", 7),
+        ],
+    )
+    def test_stop_rule_misses_no_feasible_radius(self, n, p, theta, mode, inequality):
+        """Brute force far past the stop: every feasible radius up to
+        max(50 r_pow_max, 2000) is a row of the report, and no other."""
+        rep = bound_report(n, p, theta, mode, inequality)
+        limit = max(50 * rep.r_pow_max, 2000)
+        feasible = []
+        for s in distance_set_at_least(n, p, limit).elements:
+            if 0 < s <= limit:
+                row = bound_row(n, p, s, mode)
+                bound = row.theta_upper_7 if inequality == 7 else row.theta_upper_8
+                if bound >= theta:
+                    feasible.append(s)
+        assert [row.r_pow for row in rep.rows] == feasible
+
+    def test_invalid_arguments_rejected(self):
+        for theta in (1.0, 0.5, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                bound_report(2, 2, theta)
+        with pytest.raises(ValueError):
+            bound_report(2, 2, 1.2, inequality=9)
+
+    def test_delta_lower_is_zero_below_the_cell_diagonal(self):
+        """When 2r < n^(1/p) the inner ball is empty, so the packing
+        bound is 0, not a power of a negative base."""
+        for n in (3, 4):
+            assert bound_row(n, 1, 1).delta_lower == 0.0
+        for n in (2, 3, 4):
+            assert bound_row(n, 2, 0).delta_lower == 0.0
+        assert bound_row(2, 1, 1).delta_lower == 0.0
+        assert bound_row(2, 1, 2).delta_lower == pytest.approx((2 / 6) ** 2)
 
     def test_bound_report_shape(self):
         theta = BEST_COVERING_DENSITY[(2, 2)]
@@ -260,3 +324,7 @@ class TestConstants:
         assert BEST_COVERING_DENSITY[(3, 2)] == pytest.approx(
             5 * math.sqrt(5) * math.pi / 24, rel=1e-12
         )
+        assert BEST_COVERING_DENSITY[(4, 2)] == pytest.approx(
+            2 * math.sqrt(5) * math.pi**2 / 25, rel=1e-12
+        )
+        assert BEST_COVERING_DENSITY[(4, 2)] == pytest.approx(1.76553, abs=1e-5)
