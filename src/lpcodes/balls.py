@@ -1,4 +1,4 @@
-"""Exact counting, enumeration and shape classification of lp balls in Z^n.
+"""Exact counting and enumeration of lp balls in Z^n.
 
 A radius r is always carried around as the integer s = r**p (a "pow-radius"),
 so that membership of a point z in the ball, sum(|z_i|**p) <= s, is decided in
@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import cache
 
@@ -217,73 +216,11 @@ def mu(n: int, p: int, s: int) -> int:
     return total
 
 
-class BallCase(Enum):
-    CASE_I = "CaseI"
-    CASE_II = "CaseII"
-    CASE_III = "CaseIII"
-    CASE_IV = "CaseIV"
-    UNCLASSIFIED = "Unclassified"
-
-
-@dataclass(frozen=True)
-class BallShape:
-    case: BallCase
-    predicted_mu: int | None
-    # True when the two circulating variants of the case-(ii) side
-    # condition disagree at this input (see classify_ball); the shape is
-    # then left unclassified rather than trusting either variant.
-    predicate_conflict: bool = False
-
-
-def classify_ball(n: int, p: int, r: Fraction | int) -> BallShape:
-    """Match (n, p, r) against the four closed-form ball shapes.
-
-    All comparisons run on exact rationals via r**p; the logarithmic
-    thresholds are evaluated in their equivalent integer-power form
-    (ln n / ln(r/(r-1)) <= p  <=>  n*(r-1)**p <= r**p), so boundary
-    ties are decided exactly.
-
-    The second side condition of the second case circulates in two
-    variants, (n-1)(r-1)^p + (r-2) <= r^p and the same with (r-2)^p.
-    Both are checked; if they disagree the result is Unclassified with
-    predicate_conflict set, since the closed-form count is only safe
-    when the hypotheses hold unambiguously.
-    """
-    r = Fraction(r)
-    if r <= 0:
-        raise ValueError("r must be positive")
-    rp = r**p
-    fl = math.floor(r)
-    if r.denominator == 1:
-        ri = int(r)
-        if n * (ri - 1) ** p <= rp:
-            return BallShape(BallCase.CASE_I, (2 * ri - 1) ** n + 2 * n)
-        side_plain = (n - 1) * (ri - 1) ** p + (ri - 2) <= rp
-        side_pow = (n - 1) * (ri - 1) ** p + (ri - 2) ** p <= rp
-        if side_plain and side_pow:
-            return BallShape(BallCase.CASE_II, (2 * ri - 1) ** n + 2 * n - 2**n)
-        if side_plain != side_pow:
-            return BallShape(BallCase.UNCLASSIFIED, None, predicate_conflict=True)
-        return BallShape(BallCase.UNCLASSIFIED, None)
-    # r not an integer from here on.
-    if n * fl**p > rp and (n - 1) * fl**p + (fl - 1) ** p <= rp:
-        return BallShape(BallCase.CASE_III, (2 * fl + 1) ** n - 2**n)
-    # the fourth shape's side condition references the coordinate fl - 2,
-    # so it only makes sense for fl >= 2
-    if (
-        fl >= 2
-        and (n - 1) * fl**p + (fl - 1) ** p > rp
-        and (n - 1) * fl**p + (fl - 2) ** p <= rp
-    ):
-        return BallShape(BallCase.CASE_IV, (2 * fl + 1) ** n - (n + 1) * 2**n)
-    return BallShape(BallCase.UNCLASSIFIED, None)
-
-
 def pow_radius_of(r: Fraction | int, p: int) -> int:
     """Largest integer s with s <= r**p; the pow-radius of a rational radius.
 
     Integer points in the ball of real radius r are exactly those with
-    norm**p <= floor(r**p), so classify/count comparisons use this s.
+    norm**p <= floor(r**p), so counts at radius r are counts at this s.
     """
     rp = Fraction(r) ** p
     return rp.numerator // rp.denominator

@@ -16,13 +16,15 @@ by column: each difference left in the lattice by the earlier columns
 becomes one linear congruence on the next column's entries.  Losing
 candidates are never constructed, and one sieve serves every n <= 4.
 Each congruence c * a == t (mod d) is solved with gcd(c, d) and an
-inverse, read from one cached array that holds the tables of the moduli
-d <= 128 end to end: from the table of d, or in column 1 from the table
-of c, which serves every d.  Columns 0 and 1 enumerate no entry, so a
-volume's HNF diagonals pass through them together, in a few numpy calls
-with a modulus per row; for n = 2 that is the whole sieve.  From column
-2 on each diagonal is sieved alone, and at the last column a unit c
-gives the one solution a = c^-1 t, marked directly.  Negating x_n maps
+inverse, which `_gcd_rows` reads from one cached array that holds the
+tables of the moduli d <= 128 end to end: from the table of d when one
+d <= 128 serves every row, else from the table of c, which serves every
+d, or by Euclid's algorithm for c outside 0..128.  Columns 0 and 1
+enumerate no entry, so a volume's HNF diagonals pass through them
+together, in a few numpy calls with a modulus per row; for n = 2 that
+is the whole sieve.  From column 2 on each diagonal is sieved alone,
+and at the last column a unit c gives the one solution a = c^-1 t,
+marked directly.  Negating x_n maps
 the HNF with last-column entries a_{i,n-1} to the one on the same
 diagonal with entries -a_{i,n-1} mod d_n, and maps the difference set
 onto itself, so the two get the same verdict.  For n >= 3 the last
@@ -261,10 +263,11 @@ labels and marks.  Larger chunks raised peak RSS and ran no faster."""
 _GCD_TABLE_MAX = 128
 """Largest modulus with a table in `_gcd_flat`.  Tables for every
 modulus held 2.8 MB at 2-D p=4 to volume 600, where most moduli occur
-once, and raised that search's peak RSS by 8%.  Column 1 reads the
-tables of the coefficient c instead (`_gcd_rows`): there all 518,051
-rows of the 540 column-1 steps, 79% of them with a modulus above 128,
-read the tables of c = 1..24."""
+once, and raised that search's peak RSS by 8%.  Column 1, with a
+modulus per row, and a larger modulus read the tables of the
+coefficient c instead (`_gcd_rows`): there all 518,051 rows of the 540
+column-1 steps, 79% of them with a modulus above 128, read the tables
+of c = 1..24."""
 
 _GROUP = 1 << 14
 """Most mask cells, and most (diagonal, difference) pairs, that one
@@ -300,12 +303,13 @@ def _gcd_flat(top: int) -> tuple[np.ndarray, np.ndarray]:
     return flat
 
 
-def _gcd_rows(c: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_gcd_inverse(c, m)` with a modulus per entry, read off the
-    `_gcd_flat` tables of the values of c when 0 <= c <= _GCD_TABLE_MAX,
-    as the sieve's c are difference coordinates and take few values.  The
-    flat table is sized to the next power of two, so at most 8 sizes are
-    cached.
+def _gcd_rows(c: np.ndarray, m: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
+    """`_gcd_inverse(c, m)` read off the `_gcd_flat` tables, for one
+    modulus m or a modulus per entry.  One m <= _GCD_TABLE_MAX reads its
+    own table at c mod m.  Otherwise, when 0 <= c <= _GCD_TABLE_MAX,
+    the tables of the values of c serve, as the sieve's c are difference
+    coordinates and take few values.  A flat table is sized to the next
+    power of two, so at most 8 sizes are cached.
 
     With m = q * c + r, the table of c at r gives g = gcd(r, c) =
     gcd(c, m) and s with s * r == g (mod c), so s * r + u * c = g for an
@@ -313,6 +317,10 @@ def _gcd_rows(c: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inverse.  c = 0 gives g = m and the inverse 0.  Other c take one
     `_gcd_inverse` call.
     """
+    if np.ndim(m) == 0 and m <= _GCD_TABLE_MAX:
+        g_all, s_all = _gcd_flat(min(1 << int(m).bit_length(), _GCD_TABLE_MAX))
+        at = m * (m - 1) // 2 + c % m  # the table of m, at c mod m
+        return g_all[at], s_all[at]
     if not len(c) or c.min() < 0 or c.max() > _GCD_TABLE_MAX:
         return _gcd_inverse(c, m)
     top = 1 << int(c.max()).bit_length()  # > c.max(), and at least 1
@@ -353,9 +361,7 @@ def _sieve_column(
     t = v_j - sum_{i<j} c_i * a_ij to be a multiple of d_j: a_0j..a_{j-2,j}
     are enumerated, a_{j-1,j} is solved for, and each solution carries
     the row on with c_j = t / d_j, or is marked at the last column.
-    g = gcd(c_{j-1}, d_j) and the inverse come from the table of d_j in
-    `_gcd_flat` for d_j <= _GCD_TABLE_MAX, else from `_gcd_inverse` on
-    the rows.
+    g = gcd(c_{j-1}, d_j) and the inverse come from `_gcd_rows`.
 
     At the last column a row with g = 1 has exactly one solution per
     entry, a = inverse * t mod d_j, which is marked directly.  The last
@@ -370,12 +376,7 @@ def _sieve_column(
     walked = (d // 2 + 1) * per // d if last else per
     entries = np.indices((d,) * (j - 1)).reshape(j - 1, per).T[:walked]
     size = max(1, _CHUNK // walked)
-    if d <= _GCD_TABLE_MAX:
-        flat = _gcd_flat(min(1 << d.bit_length(), _GCD_TABLE_MAX))
-        at = d * (d - 1) // 2 + rows[:, j] % d  # the table of d, at c mod d
-        g_all, inv_all = flat[0][at], flat[1][at]
-    else:
-        g_all, inv_all = _gcd_inverse(rows[:, j], d)
+    g_all, inv_all = _gcd_rows(rows[:, j], d)
     if last:
         unit = g_all == 1
         solved, inv_unit = rows[unit], inv_all[unit]
@@ -690,15 +691,18 @@ def load_checkpoint(
     Lines are `M<TAB>hits<TAB>millis`; on duplicates the last line wins
     (resumed runs append fresh lines for recomputed volumes).  A final
     line without its newline is what an interrupted write leaves; it is
-    ignored, so that volume is recomputed.  Given a query, a
-    `<path>.query` file naming another query raises CheckpointError,
-    because the records would answer that query; without one the file
-    loads.  A malformed line raises CheckpointError too.
+    ignored, so that volume is recomputed.  Given a query, a file that
+    holds a complete record beside a `<path>.query` file naming another
+    query raises CheckpointError, because the records would answer that
+    query; without a record or without a header the file loads.  A
+    malformed line raises CheckpointError too.
     """
     out: dict[int, tuple[int, int]] = {}
     if not os.path.exists(path):
         return out
-    if query is not None and os.path.exists(path + ".query"):
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = list(filter(str.strip, fh.read().split("\n")[:-1]))
+    if query is not None and lines and os.path.exists(path + ".query"):
         with open(path + ".query", "r", encoding="utf-8") as fh:
             written = fh.read().strip()
         if written != checkpoint_header(query):
@@ -706,9 +710,7 @@ def load_checkpoint(
                 f"checkpoint {path} was written for {written!r}, "
                 f"not for {checkpoint_header(query)!r}"
             )
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")[:-1]
-    for line in filter(str.strip, lines):
+    for line in lines:
         try:
             m, h, ms = map(int, line.split("\t"))
         except ValueError:
@@ -719,15 +721,15 @@ def load_checkpoint(
 
 def _append_checkpoint(path: str, query: SearchQuery) -> TextIO:
     """Open a checkpoint for appending, first cutting off a final line
-    that an interrupted write left without its newline.  A checkpoint
-    left empty gets the query's `<path>.query` file."""
+    that an interrupted write left without its newline, and write the
+    query's `<path>.query` file.  `load_checkpoint` has refused any other
+    header beside a record, so this pins the query of a checkpoint that
+    had no header or no record."""
     with open(path, "ab+") as fh:
         fh.seek(0)
-        keep = fh.read().rfind(b"\n") + 1
-        fh.truncate(keep)
-    if keep == 0:
-        with open(path + ".query", "w", encoding="utf-8") as fh:
-            fh.write(checkpoint_header(query) + "\n")
+        fh.truncate(fh.read().rfind(b"\n") + 1)
+    with open(path + ".query", "w", encoding="utf-8") as fh:
+        fh.write(checkpoint_header(query) + "\n")
     return open(path, "a", encoding="utf-8")
 
 

@@ -13,10 +13,8 @@ from hypothesis import strategies as st
 
 import lpcodes.balls as balls
 from lpcodes.balls import (
-    BallCase,
     algorithm_radii,
     ball_points,
-    classify_ball,
     distance_set,
     is_representable,
     iroot,
@@ -28,7 +26,7 @@ from lpcodes.balls import (
 )
 from lpcodes.errors import LimitExceededError
 
-from conftest import _ball_points_brute
+from conftest import BallCase, _ball_points_brute, classify_ball
 
 
 class TestIroot:

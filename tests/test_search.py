@@ -374,11 +374,16 @@ class TestSieveMasks:
     def test_gcd_rows_match_math(self):
         # A modulus per row, on both sides of _GCD_TABLE_MAX: c in
         # 0.._GCD_TABLE_MAX reads the tables of c, other c take Euclid.
+        # One modulus m <= _GCD_TABLE_MAX reads its own table, a larger
+        # one the tables of c or Euclid.
         rng = np.random.default_rng(7)
         m = rng.integers(1, 700, size=3000)
-        for c in (rng.integers(0, _GCD_TABLE_MAX + 1, size=3000),
-                  rng.integers(-300, 300, size=3000)):
+        cases = [(rng.integers(0, _GCD_TABLE_MAX + 1, size=3000), m),
+                 (rng.integers(-300, 300, size=3000), m)]
+        cases += [(np.arange(-d, 2 * d + 1), d) for d in range(1, 301)]
+        for c, m in cases:
             g, inv = _gcd_rows(c, m)
+            m = np.broadcast_to(m, c.shape)
             for c_i, m_i, g_i, s_i in zip(c.tolist(), m.tolist(), g.tolist(), inv.tolist()):
                 assert g_i == math.gcd(c_i, m_i), (c_i, m_i)
                 assert (s_i * c_i - g_i) % m_i == 0, (c_i, m_i)
@@ -830,6 +835,24 @@ class TestCheckpoint:
         assert resumed.hits == run_search(query).hits
         with open(path + ".query", encoding="utf-8") as fh:
             assert fh.read() == checkpoint_header(query) + "\n"
+
+    def test_checkpoint_without_a_record_ignores_a_leftover_header(self, tmp_path):
+        query = SearchQuery(2, 3, 1, 12)
+        fresh = run_search(query)
+        for name, text in (("empty.tsv", ""), ("torn.tsv", "3")):
+            path = tmp_path / name
+            path.write_text(text, encoding="utf-8")
+            header = tmp_path / (name + ".query")
+            header.write_text("n=4 p=2 t_max=1\n", encoding="utf-8")
+            assert run_search(query, checkpoint=str(path)) == fresh
+            assert header.read_text(encoding="utf-8") == checkpoint_header(query) + "\n"
+
+    def test_first_resume_pins_a_headerless_checkpoint(self, tmp_path):
+        path = tmp_path / "seeded.tsv"
+        path.write_text("1\t1\t0\n", encoding="utf-8")
+        run_search(SearchQuery(2, 2, 1, 60), checkpoint=str(path))
+        with pytest.raises(CheckpointError, match="written for 'n=2 p=2 t_max=1'"):
+            run_search(SearchQuery(2, 4, 1, 60), checkpoint=str(path))
 
     def test_unusable_checkpoint_raises_checkpoint_error(self, tmp_path):
         assert issubclass(CheckpointError, LpCodesError)

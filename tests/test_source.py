@@ -7,7 +7,9 @@ deleting one of them must fail here, not only in a traced benchmark run,
 and so must changing how the search calls them: the tracer's wrappers
 pass the sieve's arguments positionally and read `covering_test`'s as
 (basis, p, s).  Every imported name must be used, except those the
-tracer patches under a name the module itself no longer calls.
+tracer patches under a name the module itself no longer calls, and
+every module-level function or class must be loaded somewhere in the
+library outside its own body, except the oracles the benchmark names.
 """
 
 import ast
@@ -31,6 +33,17 @@ TRACER_ONLY_IMPORTS = {
     ("search", "enumerate_sublattices"),
     ("analysis", "distance_set"),
     ("analysis", "closest_lattice_distance_pow"),
+}
+
+# module.name of library functions that no library code calls: the tests
+# use them as oracles, and perfbench/ names each one, so they stay until
+# the benchmark stops naming them.
+BENCHMARK_ORACLES = {
+    "balls.is_representable",
+    "lattices.enumerate_sublattices",
+    "lattices.canonical_form",
+    "lattices.closest_lattice_distance_pow",
+    "search.covering_test",
 }
 
 
@@ -66,6 +79,36 @@ def test_every_imported_name_is_used():
         }
         unused |= {(path.stem, name) for name in imported - used - exported}
     assert unused == TRACER_ONLY_IMPORTS
+
+
+def test_every_definition_is_used_in_the_library():
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(LIBRARY.glob("*.py"))
+    }
+    loads = [
+        (module, node.id if isinstance(node, ast.Name) else node.attr, node.lineno)
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+        and isinstance(node.ctx, ast.Load)
+    ]
+    unused = {
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not any(
+            name == node.name
+            and not (at == module and node.lineno <= line <= node.end_lineno)
+            for at, name, line in loads
+        )
+    }
+    assert unused == BENCHMARK_ORACLES
+    perfbench = "".join(
+        path.read_text(encoding="utf-8") for path in PERFBENCH.glob("*.py")
+    )
+    assert {name for name in unused if name.split(".")[1] not in perfbench} == set()
 
 
 def test_benchmark_tracer_finds_every_name_it_patches():
