@@ -7,6 +7,12 @@ the explicit constructions, `bounds` runs the density-bound feasibility
 scan, `tables` regenerates the reference tables from first principles,
 and `polyomino` renders a ball's unit-square polyomino as SVG.
 
+This module owns every text format it both reads and writes: compact
+bases (`1,5;0,24`), `num/den` rationals, the `{"basis", "analysis"}`
+hit record of `analyze` and of each search hit, and the CSV rows.  JSON
+is written by `json.dump`, one encoder chunk at a time.  `--out` is
+checked before the handler runs, so an unwritable path costs no work.
+
 Exit codes: 0 success, 1 flag validation error (the diagnostic names the
 offending flag), 2 internal error.
 """
@@ -18,12 +24,13 @@ import csv
 import io
 import json
 import math
+import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
-from itertools import islice
 from typing import TextIO
 
-from .analysis import analyze
+from .analysis import CodeAnalysis, analyze
 from .balls import ball_points, distance_set, mu, pow_radius_of, real_root
 from .errors import CheckpointError, DimensionUnsupportedError, SingularMatrixError
 from .families import (
@@ -38,19 +45,8 @@ from .families import (
     p_range_B,
     perfect_radius_bound,
 )
-from .lattices import det
-from .search import (
-    CSV_FIELDS,
-    SearchQuery,
-    _SIEVES,
-    analysis_display,
-    csv_row,
-    fraction_str,
-    jobs_from_env,
-    report_csv_rows,
-    report_to_dict,
-    run_search,
-)
+from .lattices import Basis, det
+from .search import SearchQuery, SearchReport, _SIEVES, jobs_from_env, run_search
 
 
 class CliError(Exception):
@@ -108,6 +104,74 @@ def parse_rational(text: str, flag: str) -> Fraction:
         raise CliError(f"{flag}: cannot parse {text!r} as a rational ({exc})")
 
 
+def fraction_str(fr: Fraction) -> str:
+    return f"{fr.numerator}/{fr.denominator}"
+
+
+def compact_basis(basis: Basis) -> str:
+    return ";".join(",".join(str(v) for v in row) for row in basis)
+
+
+def analysis_display(a: CodeAnalysis) -> dict:
+    """Serializable view of one analysis: exact integers, densities as
+    num/den strings, real quantities rounded to 4 decimals."""
+    return {
+        "n": a.n,
+        "p": a.p,
+        "basis": [list(row) for row in a.hnf_basis],
+        "det": a.det,
+        "t": a.t,
+        "r_pow": a.r_pow,
+        "R_pow": a.R_pow,
+        "r": round(real_root(a.r_pow, a.p), 4),
+        "R": round(real_root(a.R_pow, a.p), 4),
+        "mu_r": a.mu_r,
+        "mu_R": a.mu_R,
+        "disc_pack_density": fraction_str(a.disc_pack_density),
+        "disc_cover_density": fraction_str(a.disc_cover_density),
+        "shortest_pow": a.shortest_pow,
+        "real_pack_radius": round(a.real_pack_radius, 4),
+        "real_pack_density": round(a.real_pack_density, 4),
+        "real_cover_radius": (
+            None if a.real_cover_radius is None else round(a.real_cover_radius, 4)
+        ),
+        "real_cover_density": (
+            None if a.real_cover_density is None else round(a.real_cover_density, 4)
+        ),
+    }
+
+
+def _hit_record(basis: Basis, a: CodeAnalysis) -> dict:
+    """One JSON hit: the basis as given and its analysis display."""
+    return {"basis": [list(row) for row in basis], "analysis": analysis_display(a)}
+
+
+def report_to_dict(report: SearchReport) -> dict:
+    return {
+        "query": asdict(report.query),
+        "counts": asdict(report.counts),
+        "bound_provenance": report.bound_provenance,
+        "hits": [_hit_record(basis, a) for basis, a in report.hits],
+    }
+
+
+CSV_FIELDS = ("det", "basis", "t", "r_pow", "R_pow", "r", "R", "mu_r", "mu_R",
+              "disc_pack_density", "disc_cover_density", "shortest_pow",
+              "real_pack_radius", "real_pack_density", "real_cover_radius",
+              "real_cover_density")
+
+
+def csv_row(a: CodeAnalysis) -> dict:
+    """One CSV row: the analysis display with the HNF basis compacted."""
+    d = analysis_display(a)
+    d["basis"] = compact_basis(a.hnf_basis)
+    return {k: d[k] for k in CSV_FIELDS}
+
+
+def report_csv_rows(report: SearchReport) -> list[dict]:
+    return [csv_row(a) for _, a in report.hits]
+
+
 def _csv_text(fields: tuple[str, ...], rows: list[dict]) -> str:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(fields), lineterminator="\n")
@@ -116,17 +180,11 @@ def _csv_text(fields: tuple[str, ...], rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-_JSON_BATCH = 1 << 12
-"""Encoder chunks joined into one write: a few tens of KB of text."""
-
-
 def _json_text(payload: dict, out: TextIO) -> None:
-    """Write `json.dumps(payload, indent=2)` and a newline to `out`, in
-    batches of the encoder's chunks, so a large report is never held as
-    one string."""
-    chunks = json.JSONEncoder(indent=2).iterencode(payload)
-    while batch := "".join(islice(chunks, _JSON_BATCH)):
-        out.write(batch)
+    """Write `json.dumps(payload, indent=2)` and a newline to `out`.
+    `json.dump` writes each encoder chunk as it is produced, so a large
+    report is never held as one string."""
+    json.dump(payload, out, indent=2)
     out.write("\n")
 
 
@@ -152,7 +210,7 @@ def _cmd_analyze(args: argparse.Namespace) -> str | dict:
     except SingularMatrixError as exc:
         raise CliError(f"--basis: {exc}")
     if args.format == "json":
-        return {"basis": [list(row) for row in basis], "analysis": analysis_display(a)}
+        return _hit_record(basis, a)
     return _csv_text(CSV_FIELDS, [csv_row(a)])
 
 
@@ -461,10 +519,22 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _check_out(path: str) -> None:
+    """Refuse an --out that cannot be written before any work starts: a
+    directory, or a file whose directory is missing or not writable."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise CliError(f"--out: {path!r} is a directory")
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise CliError(f"--out: directory {folder!r} is missing or not writable")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "out", None):
+            _check_out(args.out)
         output = args.handler(args)
         if getattr(args, "out", None):
             try:

@@ -86,7 +86,7 @@ is queued again, so that a long run reports, and checkpoints, every
 slice.  Results are taken as tasks finish, so checkpoint lines arrive in
 completion order; the hits are finally sorted by (det, canonical form)
 and the counts summed, making reports identical regardless of worker
-count.
+count.  The module only searches: `cli.py` renders the `SearchReport`.
 """
 
 from __future__ import annotations
@@ -94,8 +94,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from dataclasses import asdict, dataclass
-from fractions import Fraction
+from dataclasses import dataclass
 from functools import cache
 from itertools import islice
 from math import inf, prod
@@ -111,7 +110,6 @@ from .balls import (
     distance_set_at_least,
     iroot,
     mu,
-    real_root,
     successor,
 )
 from .errors import CheckpointError, VerificationError
@@ -849,83 +847,3 @@ def run_search(
         ),
         bound_provenance=provenance,
     )
-
-
-def fraction_str(fr: Fraction) -> str:
-    return f"{fr.numerator}/{fr.denominator}"
-
-
-def analysis_display(a: CodeAnalysis) -> dict:
-    """Serializable view of one analysis: exact integers, densities as
-    num/den strings, real quantities rounded to 4 decimals."""
-    return {
-        "n": a.n,
-        "p": a.p,
-        "basis": [list(row) for row in a.hnf_basis],
-        "det": a.det,
-        "t": a.t,
-        "r_pow": a.r_pow,
-        "R_pow": a.R_pow,
-        "r": round(real_root(a.r_pow, a.p), 4),
-        "R": round(real_root(a.R_pow, a.p), 4),
-        "mu_r": a.mu_r,
-        "mu_R": a.mu_R,
-        "disc_pack_density": fraction_str(a.disc_pack_density),
-        "disc_cover_density": fraction_str(a.disc_cover_density),
-        "shortest_pow": a.shortest_pow,
-        "real_pack_radius": round(a.real_pack_radius, 4),
-        "real_pack_density": round(a.real_pack_density, 4),
-        "real_cover_radius": (
-            None if a.real_cover_radius is None else round(a.real_cover_radius, 4)
-        ),
-        "real_cover_density": (
-            None if a.real_cover_density is None else round(a.real_cover_density, 4)
-        ),
-    }
-
-
-def report_to_dict(report: SearchReport) -> dict:
-    return {
-        "query": asdict(report.query),
-        "counts": asdict(report.counts),
-        "bound_provenance": report.bound_provenance,
-        "hits": [
-            {"basis": [list(row) for row in basis], "analysis": analysis_display(a)}
-            for basis, a in report.hits
-        ],
-    }
-
-
-CSV_FIELDS = (
-    "det",
-    "basis",
-    "t",
-    "r_pow",
-    "R_pow",
-    "r",
-    "R",
-    "mu_r",
-    "mu_R",
-    "disc_pack_density",
-    "disc_cover_density",
-    "shortest_pow",
-    "real_pack_radius",
-    "real_pack_density",
-    "real_cover_radius",
-    "real_cover_density",
-)
-
-
-def compact_basis(basis: Basis) -> str:
-    return ";".join(",".join(str(v) for v in row) for row in basis)
-
-
-def csv_row(a: CodeAnalysis) -> dict:
-    """One CSV row: the analysis display with the HNF basis compacted."""
-    d = analysis_display(a)
-    d["basis"] = compact_basis(a.hnf_basis)
-    return {k: d[k] for k in CSV_FIELDS}
-
-
-def report_csv_rows(report: SearchReport) -> list[dict]:
-    return [csv_row(a) for _, a in report.hits]

@@ -26,16 +26,16 @@ import pytest
 import lpcodes
 from lpcodes import cli
 from lpcodes.balls import ball_points
-from lpcodes.cli import main, parse_basis
-from lpcodes.families import BEST_COVERING_DENSITY
-from lpcodes.lattices import canonical_form
-from lpcodes.search import (
-    SearchQuery,
+from lpcodes.cli import (
     compact_basis,
+    main,
+    parse_basis,
     report_csv_rows,
     report_to_dict,
-    run_search,
 )
+from lpcodes.families import BEST_COVERING_DENSITY
+from lpcodes.lattices import canonical_form
+from lpcodes.search import SearchQuery, run_search
 from reference_data import (
     DISTSET_2D_PREFIX,
     EXAMPLE_BASIS,
@@ -221,6 +221,31 @@ class TestExitCodes:
                              "--rpow", "5", "--out", str(target))
         assert rc == 1
         assert "--out" in err
+
+    @pytest.mark.parametrize("where", ["missing_dir/out.json", "."])
+    def test_unusable_out_is_refused_before_the_search(
+        self, capsys, monkeypatch, tmp_path, where
+    ):
+        def search_must_not_run(*args, **kwargs):
+            pytest.fail("the search ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run_search", search_must_not_run)
+        target = tmp_path / where
+        rc, out, err = run_cli(capsys, "search", "--dim", "3", "--p", "2",
+                               "--max-volume", "400", "--out", str(target))
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: --out:")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_that_fails_to_open_names_it(self, capsys, tmp_path):
+        # The directory is writable, so only the open itself fails.
+        target = tmp_path / ("x" * 300)
+        rc, out, err = run_cli(capsys, "ball", "--dim", "2", "--p", "2",
+                               "--rpow", "5", "--out", str(target))
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: --out:")
 
     def test_unknown_subcommand(self, capsys):
         rc, _, err = run_cli(capsys, "frobnicate")
@@ -507,10 +532,7 @@ class TestJsonOutput:
     SEARCH = ("search", "--dim", "2", "--p", "2", "--max-volume", "30",
               "--t-max", "1000000000", "--no-dedupe")
 
-    @pytest.mark.parametrize("batch", [3, cli._JSON_BATCH])
-    def test_streamed_json_equals_one_dumps(self, capsys, monkeypatch, tmp_path, batch):
-        # A batch of 3 encoder chunks splits every report into many writes.
-        monkeypatch.setattr(cli, "_JSON_BATCH", batch)
+    def test_streamed_json_equals_one_dumps(self, capsys, tmp_path):
         for argv in (
             ("analyze", "--dim", "2", "--p", "2", "--basis", "1,5;0,24"),
             self.SEARCH,
@@ -524,8 +546,7 @@ class TestJsonOutput:
             assert run_cli(capsys, *argv, "--out", str(target))[0] == 0
             assert target.read_text() == out, argv
 
-    def test_search_json_is_the_report_dumped(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_JSON_BATCH", 3)
+    def test_search_json_is_the_report_dumped(self, capsys):
         _, out, _ = run_cli(capsys, *self.SEARCH)
         report = run_search(SearchQuery(2, 2, 1, 30, t_max=10**9, dedupe=False))
         assert out == json.dumps(report_to_dict(report), indent=2) + "\n"

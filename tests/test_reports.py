@@ -3,12 +3,14 @@ invocations, run in-process through `lpcodes.cli.main`.
 
 The first twelve digests were recorded at commit 6a054f4, before the
 change that made the radius and label routines take the HNF they are
-given.  The last four (two `--no-dedupe` searches, 4-D to volume 14 and
+given.  The next four (two `--no-dedupe` searches, 4-D to volume 14 and
 `--t-max 3`) were recorded at commit a480d3d, before the change that
-analyzes each congruence orbit of covering passes once.  A refactor
-that should leave every report byte-identical must leave these digests
-unchanged; a change that alters a report on purpose re-records the
-digest and says why.
+analyzes each congruence orbit of covering passes once.  The two
+`analyze` JSON digests were recorded at commit ca3c881, before the
+change that moved the hit record and CSV rows from search.py into
+cli.py.  A refactor that should leave every report byte-identical must
+leave these digests unchanged; a change that alters a report on purpose
+re-records the digest and says why.
 """
 
 from __future__ import annotations
@@ -83,6 +85,14 @@ PINNED = [
     (
         "search --dim 2 --p 2 --max-volume 60 --t-max 3",
         "b5e0fd76f494b87e97f3ddc54a52ce0be28e0a75837137b3070ea07fa50a9516",
+    ),
+    (
+        "analyze --dim 2 --p 2 --basis [[5,11],[13,1]]",
+        "d5cf5fb994b260c54bb15383995112f93f57e19e8e8d3fd5bf0f6dcb1b4a7a0f",
+    ),
+    (
+        "analyze --dim 3 --p 2 --basis 1,0,3;0,1,8;0,0,21",
+        "cc8c1bb65a87a0ec85416312f1d7bd3d8433da2c994be8847679ab8de05b6bc3",
     ),
 ]
 

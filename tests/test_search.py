@@ -35,6 +35,13 @@ from conftest import brute_covering_pow, brute_packing_pow, difference_grid_pair
 from lpcodes import LpCodesError, VerificationError
 from lpcodes.analysis import analyze, covering_radius_pow
 from lpcodes.balls import ball_points, distance_set_at_least, mu, successor
+from lpcodes.cli import (
+    CSV_FIELDS,
+    analysis_display,
+    compact_basis,
+    report_csv_rows,
+    report_to_dict,
+)
 from lpcodes.errors import CheckpointError
 from lpcodes.lattices import (
     _ordered_factorizations,
@@ -47,7 +54,6 @@ from lpcodes.lattices import (
     sublattice_count,
 )
 from lpcodes.search import (
-    CSV_FIELDS,
     SearchCounts,
     SearchQuery,
     _GCD_TABLE_MAX,
@@ -66,15 +72,11 @@ from lpcodes.search import (
     _run_task,
     _sieve_diagonals,
     algorithm_radii,
-    analysis_display,
     checkpoint_header,
-    compact_basis,
     covering_test,
     covering_verdicts,
     injectivity_test,
     load_checkpoint,
-    report_csv_rows,
-    report_to_dict,
     run_search,
 )
 from reference_data import (
@@ -371,7 +373,7 @@ class TestSieveMasks:
                 table = [t[d * (d - 1) // 2 :][:d].tolist() for t in flat]
                 assert table == [g[d : 2 * d], s[d : 2 * d]]
 
-    def test_gcd_rows_match_math(self):
+    def test_gcd_rows_match_math(self, monkeypatch):
         # A modulus per row, on both sides of _GCD_TABLE_MAX: c in
         # 0.._GCD_TABLE_MAX reads the tables of c, other c take Euclid.
         # One modulus m <= _GCD_TABLE_MAX reads its own table, a larger
@@ -381,12 +383,27 @@ class TestSieveMasks:
         cases = [(rng.integers(0, _GCD_TABLE_MAX + 1, size=3000), m),
                  (rng.integers(-300, 300, size=3000), m)]
         cases += [(np.arange(-d, 2 * d + 1), d) for d in range(1, 301)]
-        for c, m in cases:
-            g, inv = _gcd_rows(c, m)
-            m = np.broadcast_to(m, c.shape)
-            for c_i, m_i, g_i, s_i in zip(c.tolist(), m.tolist(), g.tolist(), inv.tolist()):
-                assert g_i == math.gcd(c_i, m_i), (c_i, m_i)
-                assert (s_i * c_i - g_i) % m_i == 0, (c_i, m_i)
+        # One modulus above _GCD_TABLE_MAX with every c in 0.._GCD_TABLE_MAX,
+        # as `_sieve_column` gives it past 128, reads the tables of c alone:
+        # Euclid is patched out once the largest flat table is cached.
+        table_of_c = [
+            (np.arange(_GCD_TABLE_MAX + 1), d) for d in range(_GCD_TABLE_MAX + 1, 301)
+        ]
+
+        def check(cases):
+            for c, m in cases:
+                g, inv = _gcd_rows(c, m)
+                m = np.broadcast_to(m, c.shape)
+                for c_i, m_i, g_i, s_i in zip(
+                    c.tolist(), m.tolist(), g.tolist(), inv.tolist()
+                ):
+                    assert g_i == math.gcd(c_i, m_i), (c_i, m_i)
+                    assert (s_i * c_i - g_i) % m_i == 0, (c_i, m_i)
+
+        check(cases)
+        _gcd_flat(_GCD_TABLE_MAX)
+        monkeypatch.setattr(lpcodes.search, "_gcd_inverse", None)
+        check(table_of_c)
 
     def test_gcd_rows_read_every_flat_table_size(self):
         # The largest c picks the size of the flat table: the least power

@@ -4,9 +4,10 @@ Re-proofs and input checks must be real errors: `python -O` strips
 `assert` statements, so none may appear under src/lpcodes.  The
 benchmark's tracer patches library functions by name, so renaming or
 deleting one of them must fail here, not only in a traced benchmark run,
-and so must changing how the search calls them: the tracer's wrappers
-pass the sieve's arguments positionally and read `covering_test`'s as
-(basis, p, s).  Every imported name must be used, except those the
+and so must changing how the search and the CLI call them: the tracer's
+wrappers pass the sieve's arguments positionally, read `covering_test`'s
+as (basis, p, s), and time rendering only where `search` looks up
+`report_to_dict` and `_json_text` in cli's globals.  Every imported name must be used, except those the
 tracer patches under a name the module itself no longer calls, and
 every module-level function or class must be loaded somewhere in the
 library outside its own body, except the oracles the benchmark names.
@@ -19,9 +20,11 @@ import sys
 from pathlib import Path
 
 import lpcodes
+import lpcodes.cli
 import lpcodes.search
 from lpcodes.balls import mu
-from lpcodes.search import SearchQuery, report_to_dict, run_search
+from lpcodes.cli import report_to_dict
+from lpcodes.search import SearchQuery, run_search
 
 LIBRARY = Path(lpcodes.__file__).parent
 PERFBENCH = LIBRARY.parents[1] / "perfbench"
@@ -123,12 +126,16 @@ def test_benchmark_tracer_finds_every_name_it_patches():
     assert "Ran 1 test" in done.stderr
 
 
-def test_traced_search_reports_what_an_untraced_one_does():
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("tracer", PERFBENCH / "tracer.py")
     tracer_module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_module)
+    return tracer_module
+
+
+def test_traced_search_reports_what_an_untraced_one_does():
     query = SearchQuery(3, 2, 1, 40)
-    tracer = tracer_module.Tracer()
+    tracer = _load_tracer().Tracer()
     tracer.install()
     try:
         traced = report_to_dict(run_search(query, jobs=1))
@@ -139,3 +146,29 @@ def test_traced_search_reports_what_an_untraced_one_does():
     survivors = traced["counts"]["injectivity_survivors"]
     assert tracer.counts["search.sieve.items"] == survivors > 0
     assert tracer.counts["search.covering_test.labels"] == mu(2, 2, 1)
+
+
+def test_a_cli_search_renders_inside_the_tracer(tmp_path):
+    # The tracer times rendering by wrapping cli.report_to_dict and
+    # cli._json_text, so `search` must reach both through cli's globals:
+    # one cli.render span each, the dict built before the text is written.
+    originals = (lpcodes.cli.report_to_dict, lpcodes.cli._json_text)
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        assert lpcodes.cli.report_to_dict is not originals[0]
+        assert lpcodes.cli._json_text is not originals[1]
+        argv = ["search", "--dim", "2", "--p", "2", "--max-volume", "30",
+                "--out", str(tmp_path / "report.json")]
+        assert lpcodes.cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    render = sorted(
+        (span for span in tracer.spans if span[2] == "cli.render"),
+        key=lambda span: span[3],
+    )
+    assert tracer.counts["cli.render.calls"] == len(render) == 2
+    to_dict, to_text = render
+    assert to_dict[1] == to_text[1] == 0  # neither nests in another span
+    assert to_dict[4] <= to_text[3]
+    assert tracer.counts["search.run_search.calls"] == 1
