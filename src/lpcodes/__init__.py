@@ -4,7 +4,6 @@ lattice codes in Z^n under lp metrics."""
 from .errors import (
     DimensionUnsupportedError,
     HypothesisViolatedError,
-    LimitExceededError,
     LpCodesError,
     SingularMatrixError,
     VerificationError,
@@ -13,7 +12,6 @@ from .errors import (
 __all__ = [
     "DimensionUnsupportedError",
     "HypothesisViolatedError",
-    "LimitExceededError",
     "LpCodesError",
     "SingularMatrixError",
     "VerificationError",

@@ -38,13 +38,12 @@ from .balls import (
     successor,
     unit_ball_volume,
 )
-from .errors import DimensionUnsupportedError, SingularMatrixError
+from .errors import DimensionUnsupportedError
 from .lattices import (
     Basis,
     as_basis,
     closest_lattice_distance_pow,  # unused here; perfbench/tracer.py patches this name
     coset_labels,
-    det,
     hnf,
     hnf_det,
 )
@@ -101,7 +100,7 @@ def packing_radius_pow(hnf_basis: Basis, p: int) -> int:
     _, s = algorithm_radii(n, p, hnf_det(hnf_basis))
     norms, first = first_in_coset(hnf_basis, p, s)
     clash = int(norms[~first][0])
-    elements = distance_set_at_least(n, p, clash).elements
+    elements = distance_set_at_least(n, p, clash)
     return elements[bisect_left(elements, clash) - 1]
 
 
@@ -171,9 +170,7 @@ def real_covering_radius_2d_euclidean(basis: Sequence[Sequence[int]]) -> float:
         raise DimensionUnsupportedError(
             "real covering radius implemented for n = 2 only"
         )
-    volume = abs(det(b))
-    if volume == 0:
-        raise SingularMatrixError("rows are linearly dependent")
+    volume = hnf_det(hnf(b))
 
     def n2(v: tuple[int, int]) -> int:
         return v[0] * v[0] + v[1] * v[1]
@@ -231,7 +228,8 @@ def analyze(basis: Sequence[Sequence[int]], p: int) -> CodeAnalysis:
     volume = hnf_det(h)
     r_pow = packing_radius_pow(h, p)
     R_pow = covering_radius_pow(h, p)
-    t = distance_set_at_least(n, p, R_pow).gap_count(r_pow, R_pow)
+    elements = distance_set_at_least(n, p, R_pow)
+    t = bisect_left(elements, R_pow) - bisect_left(elements, r_pow)
     mu_r = mu(n, p, r_pow)
     mu_R = mu(n, p, R_pow)
     shortest = shortest_vector_pow(h, p)

@@ -10,13 +10,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
 import numpy as np
-
-from .errors import LimitExceededError
 
 Point = tuple[int, ...]
 
@@ -59,47 +56,6 @@ def is_representable(n: int, p: int, s: int) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class DistanceSet:
-    """All attainable pow-radii for (n, p) up to an inclusive limit.
-
-    elements is strictly increasing and starts with 0.
-    """
-
-    n: int
-    p: int
-    limit: int
-    elements: tuple[int, ...]
-
-    def __contains__(self, s: int) -> bool:
-        i = bisect_left(self.elements, s)
-        return i < len(self.elements) and self.elements[i] == s
-
-    def successor(self, s: int) -> int:
-        """Smallest element strictly greater than s.
-
-        Raises LimitExceededError when no larger element was generated;
-        the caller should rebuild with a bigger limit.
-        """
-        i = bisect_right(self.elements, s)
-        if i >= len(self.elements):
-            raise LimitExceededError(
-                f"no successor of {s} within limit {self.limit} for "
-                f"(n={self.n}, p={self.p})"
-            )
-        return self.elements[i]
-
-    def gap_count(self, a: int, b: int) -> int:
-        """Number of elements in the half-open interval [a, b)."""
-        if not 0 <= a <= b:
-            raise ValueError("need 0 <= a <= b")
-        if b > self.limit:
-            raise LimitExceededError(
-                f"gap_count upper end {b} exceeds generated limit {self.limit}"
-            )
-        return bisect_left(self.elements, b) - bisect_left(self.elements, a)
-
-
 # Above this limit the boolean sieve array is too large to be worth it;
 # generate by direct summation instead (cheap exactly when p is large,
 # which is when the limit blows up).
@@ -107,8 +63,9 @@ _SIEVE_LIMIT = 1 << 26
 
 
 @cache
-def distance_set(n: int, p: int, limit: int) -> DistanceSet:
-    """Generate the distance set for (n, p) up to `limit` inclusive.
+def distance_set(n: int, p: int, limit: int) -> tuple[int, ...]:
+    """The distance set for (n, p) up to `limit` inclusive: the attainable
+    pow-radii, strictly increasing from 0.
 
     Small limits use a boolean sieve (n-fold fold of the p-th power
     indicator over [0, limit]); huge limits, which only arise for large p
@@ -123,23 +80,21 @@ def distance_set(n: int, p: int, limit: int) -> DistanceSet:
         sums = {0}
         for _ in range(n):
             sums = {s + q for s in sums for q in powers if s + q <= limit}
-        elements = tuple(sorted(sums))
-    else:
-        reach = np.zeros(limit + 1, dtype=bool)
-        reach[0] = True
-        powers = [a**p for a in range(1, iroot(limit, p) + 1)]
-        for _ in range(n):
-            step = reach.copy()  # the a = 0 term
-            for q in powers:
-                step[q:] |= reach[: limit + 1 - q]
-            reach = step
-        elements = tuple(int(v) for v in np.flatnonzero(reach))
-    return DistanceSet(n=n, p=p, limit=limit, elements=elements)
+        return tuple(sorted(sums))
+    reach = np.zeros(limit + 1, dtype=bool)
+    reach[0] = True
+    powers = [a**p for a in range(1, iroot(limit, p) + 1)]
+    for _ in range(n):
+        step = reach.copy()  # the a = 0 term
+        for q in powers:
+            step[q:] |= reach[: limit + 1 - q]
+        reach = step
+    return tuple(int(v) for v in np.flatnonzero(reach))
 
 
-def distance_set_at_least(n: int, p: int, at_least: int) -> DistanceSet:
-    """Distance set whose limit is >= at_least, rounded up to a power of
-    two times 256 so repeated queries share cache entries."""
+def distance_set_at_least(n: int, p: int, at_least: int) -> tuple[int, ...]:
+    """Distance set whose limit is >= at_least, rounded up to 256 times a
+    power of four so repeated queries share cache entries."""
     limit = 256
     while limit < at_least:
         limit *= 4
@@ -147,14 +102,13 @@ def distance_set_at_least(n: int, p: int, at_least: int) -> DistanceSet:
 
 
 def successor(n: int, p: int, s: int) -> int:
-    """Smallest attainable pow-radius strictly greater than s, growing the
-    sieve limit as needed (never raises LimitExceededError)."""
-    limit = max(4 * s, 256)
-    while True:
-        try:
-            return distance_set_at_least(n, p, limit).successor(s)
-        except LimitExceededError:
-            limit *= 4
+    """Smallest attainable pow-radius strictly greater than s.
+
+    (iroot(s, p) + 1)**p exceeds s and is attainable (the norm of a
+    coordinate vector), so the set up to it holds the successor.
+    """
+    elements = distance_set_at_least(n, p, (iroot(s, p) + 1) ** p)
+    return elements[bisect_right(elements, s)]
 
 
 @cache
@@ -170,7 +124,7 @@ def algorithm_radii(n: int, p: int, volume: int) -> tuple[int, int]:
     if volume < 1:
         raise ValueError("volume must be positive")
     bound = n * ((iroot(volume, n) + 1) // 2) ** p
-    elements = distance_set_at_least(n, p, bound).elements
+    elements = distance_set_at_least(n, p, bound)
     i = bisect_right(
         elements,
         volume,

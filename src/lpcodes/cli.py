@@ -45,7 +45,7 @@ from .families import (
     p_range_B,
     perfect_radius_bound,
 )
-from .lattices import Basis, det
+from .lattices import Basis, hnf
 from .search import SearchQuery, SearchReport, _SIEVES, jobs_from_env, run_search
 
 
@@ -268,13 +268,13 @@ def _cmd_ball(args: argparse.Namespace) -> dict:
 
 
 def _cmd_distset(args: argparse.Namespace) -> dict:
-    dset = distance_set(args.dim, args.p, args.limit)
+    elements = distance_set(args.dim, args.p, args.limit)
     return {
         "n": args.dim,
         "p": args.p,
         "limit": args.limit,
-        "count": len(dset.elements),
-        "elements": list(dset.elements),
+        "count": len(elements),
+        "elements": list(elements),
     }
 
 
@@ -406,8 +406,10 @@ def _cmd_polyomino(args: argparse.Namespace) -> str:
         basis = parse_basis(args.basis)
         if len(basis) != 2:
             raise CliError(f"--basis: polyomino tiling needs a 2x2 basis")
-        if det(basis) == 0:
-            raise CliError("--basis: rows are linearly dependent")
+        try:
+            hnf(basis)
+        except SingularMatrixError as exc:
+            raise CliError(f"--basis: {exc}")
         (a, b), (c, d) = basis
         for i in range(-2, 3):
             for j in range(-2, 3):

@@ -9,14 +9,6 @@ class SingularMatrixError(LpCodesError):
     """A basis matrix has determinant zero where full rank is required."""
 
 
-class LimitExceededError(LpCodesError):
-    """A distance-set query ran past the generated limit.
-
-    Callers that can afford it should regenerate the set with a larger
-    limit and retry; the low-level operations never regrow silently.
-    """
-
-
 class Int64RangeError(LpCodesError, OverflowError):
     """An int64 kernel met entries large enough that its next step could
     overflow; the exact Python-int routine must be used instead."""

@@ -11,7 +11,6 @@ exact rationals, so boundary ties are never decided by floating point.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
@@ -24,7 +23,7 @@ from .balls import (
     unit_ball_volume,
 )
 from .errors import HypothesisViolatedError
-from .lattices import Basis, det
+from .lattices import Basis, hnf, hnf_det
 
 FamilyKind = Literal["A", "B", "C", "D"]
 
@@ -131,7 +130,7 @@ def family(kind: FamilyKind, r: Fraction | int, p: int) -> FamilySpec:
         r=r,
         p=p,
         basis=basis,
-        det=abs(det(basis)),
+        det=hnf_det(hnf(basis)),
         predicted_t=predicted_t,
         predicted_disc_density=density,
     )
@@ -174,8 +173,7 @@ def perfect_radius_bound(
     root = delta_sup ** (1.0 / n)
     bound = (n ** (1.0 / p) / 2.0) * (1.0 + root) / (1.0 - root)
     cap = math.floor(bound**p)
-    dset = distance_set_at_least(n, p, cap)
-    r_pow_max = max(s for s in dset.elements if s <= cap)
+    r_pow_max = max(s for s in distance_set_at_least(n, p, cap) if s <= cap)
     return bound, r_pow_max
 
 
@@ -205,8 +203,7 @@ def bound_row(
         diagonal.
     theta_upper_8: the coarser packing-radius-only variant.
     """
-    dset = distance_set_at_least(n, p, max(4 * r_pow, 16))
-    if r_pow not in dset:
+    if r_pow not in distance_set_at_least(n, p, r_pow):
         raise ValueError(f"{r_pow} is not representable for (n={n}, p={p})")
     big_pow = r_pow if mode == "perfect" else successor(n, p, r_pow)
     r = real_root(r_pow, p)
@@ -289,9 +286,11 @@ def neighbors_in_distance_set(
 ) -> tuple[int, ...]:
     """The distance-set elements around s: `before` predecessors, s
     itself, `after` successors.  Used to rebuild the bound-table rows."""
-    dset = distance_set_at_least(n, p, 16 * max(s, 1))
-    i = bisect_left(dset.elements, s)
-    if i >= len(dset.elements) or dset.elements[i] != s:
+    elements = distance_set_at_least(n, p, s)
+    if s not in elements:
         raise ValueError(f"{s} not in the distance set for (n={n}, p={p})")
-    lo = max(0, i - before)
-    return dset.elements[lo : i + after + 1]
+    i = elements.index(s)
+    window = list(elements[max(0, i - before) : i + 1])
+    for _ in range(after):
+        window.append(successor(n, p, window[-1]))
+    return tuple(window)

@@ -12,7 +12,7 @@ positive diagonal d_1..d_n, and 0 <= entry(i, j) < d_j for i < j.  Each
 sublattice of Z^n has exactly one such basis, which makes the HNF both
 the equality test and the enumeration order.  Routines that take an
 `hnf_basis` trust it, and read the index off the diagonal (`hnf_det`);
-`det` is for general bases.
+a general basis has index `hnf_det(hnf(basis))`.
 
 `congruence_orbit` is the set of HNFs of a lattice's images under the
 signed coordinate permutations, the symmetries of every lp ball; it
@@ -53,30 +53,6 @@ def as_basis(rows: Sequence[Sequence[int]]) -> Basis:
     if n == 0 or any(len(row) != n for row in b):
         raise ValueError("basis must be a square matrix with at least one row")
     return b
-
-
-def det(basis: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant (fraction-free Gaussian elimination)."""
-    b = as_basis(basis)
-    n = len(b)
-    m = [list(row) for row in b]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def hnf_det(hnf_basis: Sequence[Sequence[int]]) -> int:

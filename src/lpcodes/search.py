@@ -591,7 +591,7 @@ def _volume_task(args: tuple[int, int, int, int | None]) -> _VolumeResult:
     k = inf if t_max is None else t_max
     s_r, _ = algorithm_radii(n, p, volume)
     # r_min = pred^(k-1)(s_r), clamped at 0; s_r for k <= 1.
-    elements = distance_set_at_least(n, p, s_r).elements
+    elements = distance_set_at_least(n, p, s_r)
     r_min = elements[max(elements.index(s_r) + 1 - max(k, 1), 0)]
     cap = (volume // 2) ** p
     s_cov, steps = s_r, 0

@@ -4,7 +4,8 @@ The oracles deliberately reimplement distance and coverage logic from
 scratch (per-coordinate nearest-translate reduction over explicit
 upper-triangular bases) so that agreement with the library is evidence,
 not circularity.  `classify_ball` counts four ball shapes in closed form,
-an oracle for `mu`.
+an oracle for `mu`, and `det` eliminates without the HNF, an oracle for
+the index the library reads off it.
 """
 
 from __future__ import annotations
@@ -14,17 +15,43 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
+from typing import Sequence
 
 import numpy as np
 import pytest
 
 from lpcodes.balls import ball_points
 from lpcodes.lattices import (
+    as_basis,
     canonical_form,
     coset_labels,
     hnf,
     signed_permutations,
 )
+
+
+def det(basis: Sequence[Sequence[int]]) -> int:
+    """Exact integer determinant (fraction-free Gaussian elimination)."""
+    b = as_basis(basis)
+    n = len(b)
+    m = [list(row) for row in b]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 def canon_set(bases):

@@ -155,8 +155,8 @@ def test_criterion_02_worked_example():
         assert a.R_pow == EXAMPLE_R_COV_POW == 50
         # the quoted list has 24 entries and omits the trivial zero,
         # which the library's distance set carries in front
-        assert dset.elements[0] == 0
-        assert dset.elements[1:] == DISTSET_2D_PREFIX
+        assert dset[0] == 0
+        assert dset[1:] == DISTSET_2D_PREFIX
         assert len(DISTSET_2D_PREFIX) == 24
 
 
@@ -353,7 +353,7 @@ def test_criterion_08_property_suites():
                 for basis in enumerate_sublattices(2, volume):
                     h = hnf(basis)
                     assert packing_radius_pow(h, 2) == brute_packing_pow(
-                        h, 2, dset.elements
+                        h, 2, dset
                     )
             # fast search path equals the full-analysis oracle to 40
             report = run_search(SearchQuery(2, 2, 1, 40))

@@ -24,7 +24,6 @@ from lpcodes.balls import (
     successor,
     unit_ball_volume,
 )
-from lpcodes.errors import LimitExceededError
 
 from conftest import BallCase, _ball_points_brute, classify_ball
 
@@ -92,54 +91,54 @@ class TestDistanceSet:
                         if sum(c**p for c in combo) <= limit
                     }
                 )
-                assert list(distance_set(n, p, limit).elements) == expected
+                assert list(distance_set(n, p, limit)) == expected
 
     def test_two_squares_prefix(self):
         # first attainable values for sums of two squares
-        assert distance_set(2, 2, 50).elements == (
+        assert distance_set(2, 2, 50) == (
             0, 1, 2, 4, 5, 8, 9, 10, 13, 16, 17, 18, 20, 25, 26, 29, 32,
             34, 36, 37, 40, 41, 45, 49, 50,
         )
 
     def test_monotone_in_dimension(self):
-        d2 = set(distance_set(2, 3, 200).elements)
-        d3 = set(distance_set(3, 3, 200).elements)
+        d2 = set(distance_set(2, 3, 200))
+        d3 = set(distance_set(3, 3, 200))
         assert d2 <= d3
 
     def test_sieve_and_direct_paths_agree(self, monkeypatch):
-        reference = distance_set(2, 3, 500).elements
+        reference = distance_set(2, 3, 500)
         distance_set.cache_clear()
         monkeypatch.setattr(balls, "_SIEVE_LIMIT", 100)
         try:
-            assert distance_set(2, 3, 500).elements == reference
+            assert distance_set(2, 3, 500) == reference
         finally:
             distance_set.cache_clear()
 
-    def test_successor_and_gap_count(self):
-        d = distance_set(2, 2, 50)
-        assert d.successor(37) == 40
-        assert d.successor(49) == 50
-        with pytest.raises(LimitExceededError):
-            d.successor(50)
-        assert d.gap_count(37, 50) == 5  # 37, 40, 41, 45, 49
-        assert d.gap_count(38, 50) == 4
-        assert d.gap_count(0, 0) == 0
-        with pytest.raises(LimitExceededError):
-            d.gap_count(0, 51)
-        with pytest.raises(ValueError):
-            d.gap_count(5, 3)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("p", range(1, 8))
+    def test_successor_is_the_least_larger_element(self, n, p):
+        # Every s below 300, and every p-th power k^p: at n = 1 its
+        # successor (k + 1)^p is the very limit `successor` sieves to.
+        powers = [k**p for k in range(7)]
+        queries = set(range(300)) | set(powers)
+        big = 2 * max(queries) + 8**p
+        elements = distance_set(n, p, big)
+        for s in sorted(queries):
+            larger = [e for e in elements if e > s]
+            assert larger, (n, p, s)  # big is past the successor
+            assert successor(n, p, s) == min(larger), (n, p, s)
+        if n == 1:
+            assert [successor(1, p, s) for s in powers] == [
+                k**p for k in range(1, 8)
+            ]
 
-    def test_gap_count_matches_recount(self):
-        d = distance_set(2, 3, 300)
-        for a, b in ((0, 300), (17, 100), (35, 36), (100, 250)):
-            assert d.gap_count(a, b) == sum(1 for s in d.elements if a <= s < b)
-
-    def test_module_successor_regrows(self):
-        # for n=1 the attainable values are bare p-th powers; the gap
-        # from 64 to 729 at p=6 exceeds the initial 4*s limit, forcing a
-        # regrow cycle
+    def test_successor_across_wide_gaps(self):
+        # for n=1 the attainable values are bare p-th powers, so at p=6
+        # the successor of 64 lies more than ten times past it
         assert successor(1, 6, 64) == 729
+        assert successor(2, 2, 37) == 40
         assert successor(2, 2, 49) == 50
+        assert successor(2, 2, 50) == 52
         assert successor(2, 2, 0) == 1
 
 
@@ -193,7 +192,7 @@ class TestMuAndPoints:
         assert mu(2, 2, -1) == 0
 
     def test_mu_strict_increase_exactly_on_distance_set(self):
-        d = set(distance_set(2, 3, 120).elements)
+        d = set(distance_set(2, 3, 120))
         for s in range(1, 121):
             assert (mu(2, 3, s) > mu(2, 3, s - 1)) == (s in d)
 
@@ -208,7 +207,7 @@ class TestMuAndPoints:
             ball_points(2, 2, -1)
 
     def test_is_representable(self):
-        d = set(distance_set(2, 2, 100).elements)
+        d = set(distance_set(2, 2, 100))
         for s in range(101):
             assert is_representable(2, 2, s) == (s in d)
 

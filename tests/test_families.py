@@ -12,7 +12,7 @@ import pytest
 
 from lpcodes import families
 from lpcodes.analysis import analyze
-from lpcodes.balls import distance_set_at_least, mu, unit_ball_volume
+from lpcodes.balls import distance_set_at_least, mu, successor, unit_ball_volume
 from lpcodes.errors import HypothesisViolatedError
 from lpcodes.families import (
     BEST_COVERING_DENSITY,
@@ -25,8 +25,9 @@ from lpcodes.families import (
     p_range_B,
     perfect_radius_bound,
 )
-from lpcodes.lattices import canonical_form, det
+from lpcodes.lattices import canonical_form
 
+from conftest import det
 from reference_data import (
     BOUND_RANGES_P2,
     FAMILY_A_R3_CATALOG_TWIN,
@@ -170,7 +171,7 @@ class TestBounds:
             assert row.delta_lower == pytest.approx(
                 ((2 * r - nroot) / (2 * r + nroot)) ** n, rel=1e-12
             )
-            succ = distance_set_at_least(n, p, 4 * r_pow).successor(r_pow)
+            succ = successor(n, p, r_pow)
             vol = unit_ball_volume(n, p)
             assert row.theta_upper_7 == pytest.approx(
                 vol * (succ ** (1.0 / p) + nroot / 2) ** n / row.mu, rel=1e-12
@@ -211,7 +212,7 @@ class TestBounds:
             LAST_FEASIBLE_PERFECT_INEQ7
         )
         # infeasibility on the far side of each anchor
-        succ7 = distance_set_at_least(2, 2, 400).successor(74)
+        succ7 = successor(2, 2, 74)
         assert bound_row(2, 2, succ7).theta_upper_7 < theta
         assert bound_row(2, 2, 74).theta_upper_7 >= theta
 
@@ -265,7 +266,7 @@ class TestBounds:
         rep = bound_report(n, p, theta, mode, inequality)
         limit = max(50 * rep.r_pow_max, 2000)
         feasible = []
-        for s in distance_set_at_least(n, p, limit).elements:
+        for s in distance_set_at_least(n, p, limit):
             if 0 < s <= limit:
                 row = bound_row(n, p, s, mode)
                 bound = row.theta_upper_7 if inequality == 7 else row.theta_upper_8
@@ -311,6 +312,10 @@ class TestNeighbors:
 
     def test_asymmetric_window(self):
         assert neighbors_in_distance_set(2, 2, 74, before=1, after=0) == (73, 74)
+
+    def test_successors_past_a_wide_gap(self):
+        # n = 1, p = 10: the elements are the tenth powers 0, 1, 1024, ...
+        assert neighbors_in_distance_set(1, 10, 1) == (0, 1, 1024, 59049)
 
 
 class TestConstants:

@@ -131,7 +131,7 @@ def sieved_radii(n, p, volume_hi):
     radii = set()
     for volume in range(1, volume_hi + 1):
         s_r, _ = algorithm_radii(n, p, volume)
-        elements = distance_set_at_least(n, p, s_r).elements
+        elements = distance_set_at_least(n, p, s_r)
         i = elements.index(s_r)
         radii |= set(elements[max(i - 1, 0) : i + 1])
     return radii
@@ -1022,10 +1022,10 @@ class TestDisputedRepresentatives:
         assert a.t > 1
         h = hnf(basis)
         dset = distance_set_at_least(3, 2, 4 * a.R_pow + 16)
-        r_brute = brute_packing_pow(h, 2, dset.elements)
+        r_brute = brute_packing_pow(h, 2, dset)
         cover_brute = brute_covering_pow(h, 2)
         assert (r_brute, cover_brute) == (a.r_pow, a.R_pow)
-        recount = sum(1 for s in dset.elements if r_brute <= s < cover_brute)
+        recount = sum(1 for s in dset if r_brute <= s < cover_brute)
         assert recount == expected_t
 
     def test_corrected_row_verifies(self):
@@ -1034,5 +1034,5 @@ class TestDisputedRepresentatives:
         assert (a.det, a.t) == (26, 1)
         h = hnf(basis)
         dset = distance_set_at_least(3, 2, 64)
-        assert brute_packing_pow(h, 2, dset.elements) == a.r_pow
+        assert brute_packing_pow(h, 2, dset) == a.r_pow
         assert brute_covering_pow(h, 2) == a.R_pow
