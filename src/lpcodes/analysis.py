@@ -1,19 +1,36 @@
-"""Per-lattice code analysis: packing and covering radii, imperfection
-degree, and the four density figures (discrete/real x packing/covering).
+"""Code analysis: packing and covering radii, imperfection degree, and
+the four density figures (discrete/real x packing/covering), for a stack
+of lattices of one index at a time.
 
-Both radii come from one coset-label kernel.  The packing radius is read
-off a labelled ball: its points are sorted by norm and labelled with
-their cosets, and the first point of each coset is marked.  Translated
-balls are disjoint while every point is first in its coset, so the
-packing radius is the distance-set element just below the least norm of
-a point that is not.  The shortest vector is the least norm of a nonzero
-point labelled 0.  The covering radius, the largest distance from a
-coset to the lattice, can lie far outside a ball of about det points
-(a thin cell), so it is built one axis at a time over an array of det
-coset labels instead.  The tests check these against routes that share
-nothing with this one: literal ball disjointness, and closest-point
-searches over a full residue system.  The radius and label routines
-take the HNF they are given; `analyze` alone normalizes its input.
+Every radius comes from one coset-label kernel, run over a (B, n, n)
+stack of HNFs of one index, so that numpy's per-call cost is paid once
+per stack and not once per lattice: the search analyzes all congruence
+classes of a volume in one `analyze_stack` call, and `analyze` is a
+stack of one.  Each radius takes one `coset_labels` call over the whole
+stack; only the rows that need a larger ball or cap are labelled again,
+together.  The packing radius is read off a labelled ball: its points
+are sorted by norm and labelled with their cosets, and the first point
+of each coset is marked.  Translated balls are disjoint while every
+point is first in its coset, so the packing radius is the distance-set
+element just below the least norm of a point that is not.  The shortest
+vector is the least norm of a nonzero point labelled 0.  The covering
+radius, the largest distance from a coset to the lattice, can lie far
+outside a ball of about det points (a thin cell), so it is built one
+axis at a time over a (B, det) array of coset costs instead.  Its walk
+is exact under any cap at or above a row's own, so the rows it must
+rerun share the largest cap; a row whose walk returns to the lattice
+stops walking, so one thin cell does not make every row walk its period.
+
+Memory grows with B * det * n, so `analyze_stack` cuts the stack into
+chunks of at most `_STACK_CELLS` such entries, or one HNF.  A row's
+results depend on that row alone, so the chunking changes no result.
+The tests check all of this against routes that share nothing with it:
+literal ball disjointness, closest-point searches over a full residue
+system and a brute-force shortest vector, row by row over whole stacks
+and under every chunking.  The radius and label routines take the
+(B, n, n) stack of HNFs they are given and return one value per row;
+`analyze_stack` refuses a stack that is not HNFs of one index, and
+`analyze` alone normalizes its input.
 """
 
 from __future__ import annotations
@@ -26,6 +43,7 @@ from functools import cache
 from typing import Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .balls import (
     algorithm_radii,
@@ -65,16 +83,27 @@ def _ball(n: int, p: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, norms
 
 
-def first_in_coset(hnf_basis: Basis, p: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+def _stack(hnf_bases: ArrayLike) -> tuple[np.ndarray, int]:
+    """A stack of HNFs of one index as a (B, n, n) int64 array, and that
+    index."""
+    stack = np.asarray(hnf_bases, dtype=np.int64)
+    return stack, hnf_det(stack[0].tolist())
+
+
+def first_in_coset(
+    hnf_bases: ArrayLike, p: int, s: int
+) -> tuple[np.ndarray, np.ndarray]:
     """(norms, first): the increasing norms of the ball of pow-radius s,
-    and a mask marking the first point of each coset the ball meets,
-    which is that coset's point of least norm."""
-    pts, norms = _ball(len(hnf_basis), p, s)
-    labels = coset_labels(hnf_basis, pts)
-    order = np.argsort(labels, kind="stable")
-    grouped = labels[order]
-    first = np.empty(len(order), dtype=bool)
-    first[order] = np.concatenate(([True], grouped[1:] != grouped[:-1]))
+    and a (B, P) mask marking, under each HNF of a stack of one index,
+    the first point of each coset the ball meets, which is that coset's
+    point of least norm.  Each row's labels are offset into a range of
+    their own, so one `np.unique` finds every row's first occurrences."""
+    stack, volume = _stack(hnf_bases)
+    pts, norms = _ball(stack.shape[-1], p, s)
+    labels = coset_labels(stack, pts)
+    keys = labels + np.arange(len(stack))[:, None] * volume
+    first = np.zeros(labels.shape, dtype=bool)
+    first.reshape(-1)[np.unique(keys, return_index=True)[1]] = True
     return norms, first
 
 
@@ -84,77 +113,151 @@ def labels_are_distinct(hnf_basis: Basis, p: int, s: int) -> bool:
     Pigeonhole first: more ball points than cosets can never inject.
     """
     return mu(len(hnf_basis), p, s) <= hnf_det(hnf_basis) and bool(
-        first_in_coset(hnf_basis, p, s)[1].all()
+        first_in_coset([hnf_basis], p, s)[1].all()
     )
 
 
-def packing_radius_pow(hnf_basis: Basis, p: int) -> int:
-    """Largest pow-radius in the distance set whose lattice translates of
-    the ball are pairwise disjoint.
+def packing_radius_pow(hnf_bases: ArrayLike, p: int) -> list[int]:
+    """Per HNF of a stack of one index, the largest pow-radius in the
+    distance set whose lattice translates of the ball are pairwise
+    disjoint.
 
-    At the first s with mu(s) > det two ball points share a coset.  The
-    translates stay disjoint exactly below the least norm of a point
-    that is not first in its coset.
+    At the first s with mu(s) > det two ball points share a coset under
+    every basis.  The translates stay disjoint exactly below the least
+    norm of a point that is not first in its coset.
     """
-    n = len(hnf_basis)
-    _, s = algorithm_radii(n, p, hnf_det(hnf_basis))
-    norms, first = first_in_coset(hnf_basis, p, s)
-    clash = int(norms[~first][0])
-    elements = distance_set_at_least(n, p, clash)
-    return elements[bisect_left(elements, clash) - 1]
+    stack, volume = _stack(hnf_bases)
+    n = stack.shape[-1]
+    _, s = algorithm_radii(n, p, volume)
+    norms, first = first_in_coset(stack, p, s)
+    clashes = norms[np.argmax(~first, axis=1)].tolist()
+    elements = distance_set_at_least(n, p, max(clashes))
+    return [elements[bisect_left(elements, clash) - 1] for clash in clashes]
 
 
-def covering_radius_pow(hnf_basis: Basis, p: int) -> int:
-    """Smallest pow-radius whose lattice translates of the ball cover Z^n:
-    the largest over cosets of the least sum of |z_i|^p over the coset.
+def _unit_steps(stack: np.ndarray, volume: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ups, downs), each of shape (n, B * volume): entry b * volume + c
+    of row i is the flat index b * volume + label of the coset c + e_i
+    (ups) or c - e_i (downs) under basis b.  A unit step permutes each
+    basis's labels, so the downs are the inverse permutations."""
+    count, n = stack.shape[0], stack.shape[-1]
+    # Coset c's point in the box 0 <= v_i < d_i: the mixed-radix digits of c.
+    box = np.empty((count, volume, n), dtype=np.int64)
+    rest = np.arange(volume)
+    for i in reversed(range(n)):
+        rest, box[:, :, i] = np.divmod(rest, stack[:, i, i, None])
+    moved = (box[:, :, None, :] + np.eye(n, dtype=np.int64)).reshape(count, -1, n)
+    labels = coset_labels(stack, moved) + np.arange(count)[:, None] * volume
+    ups = labels.reshape(count, volume, n).transpose(2, 0, 1).reshape(n, -1)
+    downs = np.empty_like(ups)
+    downs[np.arange(n)[:, None], ups] = np.arange(count * volume)
+    return ups, downs
 
-    An array of det coset costs starts at 0 for the lattice, and axis i
-    lets every coset take its cheapest step z * e_i from another: a unit
-    step permutes the labels, and the walk stops when it returns to the
-    lattice or |z|^p passes a cap s.  If every cost ends at most s, the
-    cap cut off no optimal point.  Otherwise the largest cost, an upper
-    bound, becomes the cap (s doubles while a coset is unreached).
-    Memory is O(det) however thin the cell.
+
+def _coset_costs(
+    ups: np.ndarray, downs: np.ndarray, volume: int, p: int, s: int, unreached: int
+) -> np.ndarray:
+    """(B, volume) costs: coset c of basis b gets the least sum of
+    |z_i|^p over its points z with every |z_i|^p <= s, or `unreached`.
+
+    Axis i lets every coset take its cheapest step z * e_i from another,
+    through flat-index gathers over the unit steps.  A row whose walk
+    has returned to the lattice (z e_i in L) leaves the active set: a
+    longer step reaches the same coset as a shorter one, at a higher
+    cost.  So a thin cell walks its own period, not every row's.
     """
-    n = len(hnf_basis)
-    volume = hnf_det(hnf_basis)
-    box = np.indices([hnf_basis[i][i] for i in range(n)]).reshape(n, -1).T
-    moved = (box[:, None, :] + np.eye(n, dtype=np.int64)).reshape(-1, n)
-    ups = coset_labels(hnf_basis, moved).reshape(volume, n).T  # label of c + e_i
-    downs = np.argsort(ups, axis=1)  # the inverse permutations: c - e_i
+    count = ups.shape[1] // volume
+    exact = np.int64 if 2 * unreached < 2**63 else object
+    dist = np.full((count, volume), unreached, dtype=exact)
+    dist[:, 0] = 0
+    homes = np.arange(count) * volume  # flat index of each row's lattice coset
+    for up, down in zip(ups, downs):
+        flat, best = dist.reshape(-1), dist.copy()
+        rows, home = None, homes  # rows None: every row is active
+        plus, minus = up.reshape(count, -1), down.reshape(count, -1)
+        for z in range(1, iroot(s, p) + 1):
+            moving = plus[:, 0] != home
+            active = np.count_nonzero(moving)
+            if active < len(home):
+                if not active:
+                    break
+                rows = np.flatnonzero(moving) if rows is None else rows[moving]
+                home, plus, minus = home[moving], plus[moving], minus[moving]
+            step = np.minimum(flat[plus], flat[minus])
+            step += z**p
+            if rows is None:
+                np.minimum(best, step, out=best)
+            else:
+                best[rows] = np.minimum(best[rows], step)
+            plus, minus = up[plus], down[minus]
+        dist = best
+    return dist
+
+
+def covering_radius_pow(hnf_bases: ArrayLike, p: int) -> list[int]:
+    """Per HNF of a stack of one index, the smallest pow-radius whose
+    lattice translates of the ball cover Z^n: the largest over cosets of
+    the least sum of |z_i|^p over the coset.
+
+    A (B, det) array of coset costs starts at 0 for the lattice and
+    walks the unit steps axis by axis up to a cap s (`_coset_costs`).
+    The walk is exact for every row whose costs all end at most s: a
+    coset's optimal point z has |z_i|^p <= cost <= s on every axis, so
+    the cap cut off none of it.  That holds for any cap, so the rows
+    that are not exact rerun together under the largest of their next
+    caps, their largest cost (an upper bound), or 2s while a coset is
+    unreached.  One `coset_labels` call gives the unit steps of the
+    whole stack, and memory is O(B det n) however thin the cells.
+    """
+    stack, volume = _stack(hnf_bases)
+    n = stack.shape[-1]
+    ups, downs = _unit_steps(stack, volume)
+    radii = [0] * len(stack)
+    rows = np.arange(len(stack))
     s = algorithm_radii(n, p, volume)[1]
     while True:
         unreached = n * s + 1
-        exact = np.int64 if 2 * unreached < 2**63 else object
-        dist = np.full(volume, unreached, dtype=exact)
-        dist[0] = 0
-        for up, down in zip(ups, downs):
-            best, plus, minus = dist, up, down
-            for z in range(1, iroot(s, p) + 1):
-                if plus[0] == 0:
-                    break
-                best = np.minimum(best, np.minimum(dist[plus], dist[minus]) + z**p)
-                plus, minus = up[plus], down[minus]
-            dist = best
-        far = int(dist.max())
-        if far <= s:
-            return far
-        s = far if far < unreached else 2 * s
+        far = _coset_costs(ups, downs, volume, p, s, unreached).max(axis=1).tolist()
+        for b, cost in zip(rows.tolist(), far):
+            radii[b] = cost
+        over = [cost > s for cost in far]
+        if not any(over):
+            return radii
+        s = max(cost if cost < unreached else 2 * s for cost in far if cost > s)
+        keep = np.flatnonzero(over)
+        if len(keep) < len(rows):
+            rows = rows[keep]
+            shift = (np.arange(len(keep)) - keep)[:, None] * volume
+            ups, downs = (
+                (steps.reshape(n, -1, volume)[:, keep] + shift).reshape(n, -1)
+                for steps in (ups, downs)
+            )
 
 
-def shortest_vector_pow(hnf_basis: Basis, p: int) -> int:
-    """Pow-norm of a shortest nonzero lattice vector: the least norm of a
-    nonzero ball point with label 0.  At the first s with mu(s) > det two
-    ball points share a coset, and their difference is a lattice vector
-    of pow-norm at most 2^p * s, so doubling s from there finds one."""
-    n = len(hnf_basis)
-    s = algorithm_radii(n, p, hnf_det(hnf_basis))[1]
-    while True:
+def shortest_vector_pow(hnf_bases: ArrayLike, p: int) -> list[int]:
+    """Per HNF of a stack of one index, the pow-norm of a shortest
+    nonzero lattice vector: the least norm of a nonzero ball point with
+    label 0.  At the first s with mu(s) > det two ball points share a
+    coset, and their difference is a lattice vector of pow-norm at most
+    2^p * s, so doubling s from there finds one; the rows that found
+    none rerun together."""
+    stack, volume = _stack(hnf_bases)
+    n = stack.shape[-1]
+    shortest = [0] * len(stack)
+    rows = list(range(len(stack)))
+    s = algorithm_radii(n, p, volume)[1]
+    while rows:
         pts, norms = _ball(n, p, s)
-        found = norms[1:][coset_labels(hnf_basis, pts[1:]) == 0]
-        if len(found):
-            return int(found[0])
+        home = coset_labels(stack[rows], pts[1:]) == 0
+        left = []
+        for b, row, i in zip(rows, home, home.argmax(axis=1).tolist()):
+            if row[i]:
+                shortest[b] = int(norms[1 + i])
+            else:
+                left.append(b)
+        rows = left
         s = successor(n, p, 2 * s)
+    return shortest
 
 
 def real_covering_radius_2d_euclidean(basis: Sequence[Sequence[int]]) -> float:
@@ -221,18 +324,77 @@ class CodeAnalysis:
         return self.t == 1
 
 
-def analyze(basis: Sequence[Sequence[int]], p: int) -> CodeAnalysis:
-    """Full per-lattice report; every integer field is exact."""
-    h = hnf(basis)
+_STACK_CELLS = 1 << 16
+"""Most (basis, coset, axis) entries one chunk of `analyze_stack` holds:
+a chunk of B HNFs of index det in Z^n has B * det * n <= _STACK_CELLS,
+or is one HNF.  The covering walk's unit steps are that many int64
+labels, and its moved points n times as many coordinates."""
+
+
+def _is_hnf_of_index(h: Basis, volume: int) -> bool:
+    """True iff h is a row-style HNF of index `volume`, as the radius
+    kernels trust: a positive diagonal of product `volume`, zeros below
+    it, and 0 <= entry(i, j) < d_j above it.  Plain Python: a volume's
+    stack holds a few small bases, too few to repay numpy's calls."""
     n = len(h)
-    volume = hnf_det(h)
-    r_pow = packing_radius_pow(h, p)
-    R_pow = covering_radius_pow(h, p)
-    elements = distance_set_at_least(n, p, R_pow)
+    return (
+        all(h[j][j] > 0 for j in range(n))
+        and all(h[i][j] == 0 for j in range(n) for i in range(j + 1, n))
+        and all(0 <= h[i][j] < h[j][j] for j in range(n) for i in range(j))
+        and hnf_det(h) == volume
+    )
+
+
+def analyze_stack(hnf_bases: Sequence[Basis], p: int) -> list[CodeAnalysis]:
+    """`analyze` of every HNF of a sequence of HNFs of one index, in
+    order.  The radius kernels run over chunks of the stack
+    (`_STACK_CELLS`); each row's radii depend on that row alone, so the
+    chunking changes no result.  Raises ValueError if a member is not an
+    HNF of the first one's index."""
+    if not hnf_bases:
+        return []
+    bases = [as_basis(h) for h in hnf_bases]
+    n, volume = len(bases[0]), hnf_det(bases[0])
+    if not all(_is_hnf_of_index(h, volume) for h in bases):
+        raise ValueError(f"the stack must hold row-style HNFs of index {volume}")
+    stack = np.array(bases, dtype=np.int64)
+    size = max(1, _STACK_CELLS // (volume * n))
+    r_pows: list[int] = []
+    R_pows: list[int] = []
+    shortest: list[int] = []
+    for lo in range(0, len(stack), size):
+        chunk = stack[lo : lo + size]
+        r_pows += packing_radius_pow(chunk, p)
+        R_pows += covering_radius_pow(chunk, p)
+        shortest += shortest_vector_pow(chunk, p)
+    elements = distance_set_at_least(n, p, max(R_pows))
+    return [
+        _record(h, p, volume, r_pow, R_pow, short, elements)
+        for h, r_pow, R_pow, short in zip(bases, r_pows, R_pows, shortest)
+    ]
+
+
+def analyze(basis: Sequence[Sequence[int]], p: int) -> CodeAnalysis:
+    """Full report of one lattice, given by any basis: its HNF analyzed
+    as a stack of one.  Every integer field is exact."""
+    return analyze_stack([hnf(basis)], p)[0]
+
+
+def _record(
+    h: Basis,
+    p: int,
+    volume: int,
+    r_pow: int,
+    R_pow: int,
+    shortest: int,
+    elements: tuple[int, ...],
+) -> CodeAnalysis:
+    """The CodeAnalysis of HNF h from its radii; `elements` is a prefix
+    of the distance set that reaches R_pow."""
+    n = len(h)
     t = bisect_left(elements, R_pow) - bisect_left(elements, r_pow)
     mu_r = mu(n, p, r_pow)
     mu_R = mu(n, p, R_pow)
-    shortest = shortest_vector_pow(h, p)
     vol_ball = unit_ball_volume(n, p)
     real_r = real_root(shortest, p) / 2.0
     real_pack_density = vol_ball * real_r**n / volume

@@ -14,7 +14,9 @@ is written by `json.dump`, one encoder chunk at a time.  `--out` is
 checked before the handler runs, so an unwritable path costs no work.
 
 Exit codes: 0 success, 1 flag validation error (the diagnostic names the
-offending flag), 2 internal error.
+offending flag), 2 internal error.  A reader that closes stdout early
+(`lpcodes distset ... | head`) is no error: the rest of the output is
+dropped and the exit code is 0.
 """
 
 from __future__ import annotations
@@ -545,7 +547,13 @@ def main(argv: list[str] | None = None) -> int:
             except OSError as exc:
                 raise CliError(f"--out: {exc}")
         else:
-            _write(output, sys.stdout)
+            try:
+                _write(output, sys.stdout)
+                sys.stdout.flush()
+            except BrokenPipeError:
+                # Point stdout at devnull, so that the flush at exit
+                # cannot fail on the closed pipe again.
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except (CliError, DimensionUnsupportedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -280,13 +280,15 @@ def coset_labels(hnf_basis: ArrayLike, points: ArrayLike) -> np.ndarray:
     coordinate most significant; two points get the same label iff they
     lie in the same coset of the lattice.  `hnf_basis` may also be a
     stack of B HNFs of shape (B, n, n); the labels then have shape
-    (B, len(points)), row b under basis b.
+    (B, P), row b under basis b, for P points shared by every basis or
+    for points of shape (B, P, n), one set per basis.
     """
     h = np.asarray(hnf_basis, dtype=np.int64)
     stack = h.reshape(-1, *h.shape[-2:])
     n = stack.shape[-1]
-    # One (B, P) plane per coordinate, reduced as rows 0..n-1 are used.
-    v = list(np.asarray(points, dtype=np.int64).reshape(-1, n).T)
+    pts = np.asarray(points, dtype=np.int64)
+    # One (P,) or (B, P) plane per coordinate, reduced as rows 0..n-1 are used.
+    v = list(pts.transpose(2, 0, 1) if pts.ndim == 3 else pts.reshape(-1, n).T)
     labels = 0
     for i in range(n):
         d = stack[:, i, i, None]

@@ -68,9 +68,15 @@ passes at one volume are a union of congruence orbits, and each orbit is
 built and analyzed once: the first pending pass gives the orbit
 (`congruence_orbit`), whose least member is the canonical form.  The
 orbit must contain that pass (the sieve yields HNFs), the canonical form
-must have index M, and every member must be a pending pass.  The one
-analysis re-proves r >= r_min, R <= s_cov and, when r = s_r, t <= k.
-Each failure raises VerificationError.  An orbit with t <= k gives one
+must have index M, and every member must be a pending pass.  Once every
+orbit of the volume is built and checked, their canonical forms are
+analyzed together, one `analysis.analyze_stack` call per volume with an
+orbit: each class pays numpy's per-call cost once per volume, not once
+per class, and each row's analysis is the one `analyze` would give it
+alone.  Each analysis then re-proves r >= r_min, R <= s_cov and, when
+r = s_r, t <= k.  Each failure raises VerificationError; within a
+volume every orbit check precedes every analysis re-proof, so a fault
+of both kinds raises the orbit's error.  An orbit with t <= k gives one
 record (canonical form, analysis, orbit size), listed once in the report,
 or size times without dedupe.  An orbit's 2^(n-1) n! images are
 normalized by one batched int64 HNF (`lattices.hnf_stack`).
@@ -103,7 +109,8 @@ from typing import Iterator, TextIO
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .analysis import CodeAnalysis, _ball, analyze, labels_are_distinct
+from .analysis import CodeAnalysis, _ball, labels_are_distinct
+from .analysis import analyze_stack as analyze  # perfbench/tracer.py times this name
 from .balls import (
     algorithm_radii,
     ball_points,
@@ -619,7 +626,7 @@ def _volume_task(args: tuple[int, int, int, int | None]) -> _VolumeResult:
             stack = stack[covering_verdicts(stack, p, s_cov)]
         passes += [tuple(map(tuple, basis)) for basis in stack.tolist()]
     pending = set(passes)
-    records: list[tuple[Basis, CodeAnalysis, int]] = []
+    orbits: list[tuple[Basis, Basis, int]] = []  # (pass, canonical form, size)
     for basis in passes:
         if basis not in pending:
             continue
@@ -635,16 +642,21 @@ def _volume_task(args: tuple[int, int, int, int | None]) -> _VolumeResult:
                 f" {basis} but failed the sieve or the covering test"
             )
         pending -= orbit
-        a = analyze(canon, p)
+        orbits.append((basis, canon, len(orbit)))
+    # One stacked analysis per volume that has an orbit, then the re-proofs.
+    analyses = analyze([canon for _, canon, _ in orbits], p) if orbits else []
+    records: list[tuple[Basis, CodeAnalysis, int]] = []
+    for (basis, canon, size), a in zip(orbits, analyses):
         if a.r_pow < r_min or a.R_pow > s_cov or (a.r_pow == s_r and a.t > k):
             raise VerificationError(
-                f"sieve hit {basis} has r = {a.r_pow}, R = {a.R_pow}, t = {a.t};"
-                f" expected r >= {r_min}, R <= {s_cov} and, if r = {s_r}, t <= {k}"
+                f"sieve hit {basis} of class {canon} has r = {a.r_pow},"
+                f" R = {a.R_pow}, t = {a.t}; expected r >= {r_min},"
+                f" R <= {s_cov} and, if r = {s_r}, t <= {k}"
             )
         if not a.mu_r <= a.det <= a.mu_R:
             raise VerificationError(f"mu_r <= det <= mu_R fails for {a}")
         if a.t <= k:
-            records.append((canon, a, len(orbit)))
+            records.append((canon, a, size))
     return volume, records, inj, len(passes), time.monotonic() - begin
 
 

@@ -219,6 +219,21 @@ def _lattice_vectors_in_box(hnf, reach):
     return out
 
 
+def brute_shortest_pow(hnf, p):
+    """Least pow-norm of a nonzero lattice vector.  A basis row bounds it,
+    so every coordinate of a shortest vector lies within the box whose
+    reach is the largest c with c^p at most that bound."""
+    bound = min(sum(abs(c) ** p for c in row) for row in hnf)
+    reach = 0
+    while (reach + 1) ** p <= bound:
+        reach += 1
+    return min(
+        sum(abs(c) ** p for c in v)
+        for v in _lattice_vectors_in_box(hnf, reach)
+        if any(v)
+    )
+
+
 def brute_balls_disjoint(hnf, p, s):
     """True iff lattice translates of the pow-radius-s ball are pairwise
     disjoint: no nonzero lattice vector may be a difference of two ball

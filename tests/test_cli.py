@@ -5,7 +5,8 @@ and stderr can be asserted exactly.  Two subprocess checks cover the
 `lpcodes` console script: one reads its entry from pyproject.toml's
 [project.scripts] and runs the launcher an installer writes for it, so
 it needs no installed package; the other runs the script from PATH and
-is skipped where none is installed.  Table output is compared against
+is skipped where none is installed.  A third closes the pipe it reads
+stdout from early, as `| head` does.  Table output is compared against
 the frozen rows in reference_data, and the search/analyze commands are
 checked for agreement with the library calls they wrap.
 """
@@ -643,3 +644,19 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["elements"] == [0, 1, 2, 4, 5, 8, 9, 10]
+
+
+def test_a_reader_closing_stdout_early_is_no_error():
+    # About 0.5 MB of JSON, far more than a pipe buffers, so the writer
+    # meets the closed pipe: `distset ... | head -c 20`.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lpcodes.cli", "distset", "--dim", "2",
+         "--p", "2", "--limit", "200000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(20).startswith(b"{")
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0
+    assert stderr == b""

@@ -41,6 +41,7 @@ from lpcodes.lattices import (
 from conftest import (
     apply_transform,
     brute_dist_pow,
+    brute_shortest_pow,
     congruence_orbit_full_group,
     contains,
     det,
@@ -353,6 +354,18 @@ class TestCosets:
             assert row.tolist() == coset_labels(b, pts).tolist()
         assert coset_labels(bases[:1], pts).shape == (1, 40)
 
+    def test_points_per_basis_equal_per_basis_labels(self):
+        rng = random.Random(47)
+        bases = list(enumerate_sublattices(3, 8))
+        pts = [
+            [[rng.randint(-9, 9) for _ in range(3)] for _ in range(20)]
+            for _ in bases
+        ]
+        stacked = coset_labels(bases, pts)
+        assert stacked.shape == (len(bases), 20)
+        for b, own, row in zip(bases, pts, stacked):
+            assert row.tolist() == coset_labels(b, own).tolist()
+
     def test_contains_matches_label(self):
         h = hnf(((1, 4), (0, 9)))
         rng = random.Random(37)
@@ -386,33 +399,15 @@ class TestDistances:
             m = rng.randint(2, 40)
             h = rng.choice(list(enumerate_sublattices(n, m)))
             p = rng.choice((1, 2, 3))
-            s = shortest_vector_pow(h, p)
-            best = _brute_shortest(h, p)
-            assert s == best
+            [s] = shortest_vector_pow([h], p)
+            assert s == brute_shortest_pow(h, p)
             assert s in distance_set(n, p, max(s, 4))
 
     @given(st.integers(min_value=2, max_value=25), st.integers(min_value=1, max_value=3))
     @settings(max_examples=40, deadline=None)
     def test_shortest_vector_attained(self, m, p):
         h = next(iter(enumerate_sublattices(2, m)))
-        s = shortest_vector_pow(h, p)
-        assert s == _brute_shortest(h, p)
-
-
-def _brute_shortest(h, p):
-    n = len(h)
-    # any shortest vector coordinate is bounded by the largest diagonal
-    reach = max(h[i][i] for i in range(n)) + 1
-    from conftest import _lattice_vectors_in_box
-
-    best = None
-    for v in _lattice_vectors_in_box(h, reach):
-        if all(c == 0 for c in v):
-            continue
-        norm = sum(abs(c) ** p for c in v)
-        if best is None or norm < best:
-            best = norm
-    return best
+        assert shortest_vector_pow([h], p) == [brute_shortest_pow(h, p)]
 
 
 def det_nonzero(b):

@@ -33,7 +33,7 @@ import pytest
 import lpcodes.search
 from conftest import brute_covering_pow, brute_packing_pow, difference_grid_pairwise
 from lpcodes import LpCodesError, VerificationError
-from lpcodes.analysis import analyze, covering_radius_pow
+from lpcodes.analysis import analyze, analyze_stack, covering_radius_pow
 from lpcodes.balls import ball_points, distance_set_at_least, mu, successor
 from lpcodes.cli import (
     CSV_FIELDS,
@@ -51,6 +51,7 @@ from lpcodes.lattices import (
     enumerate_sublattices,
     hnf,
     hnf_count,
+    hnf_det,
     sublattice_count,
 )
 from lpcodes.search import (
@@ -547,7 +548,7 @@ class TestCoveringKernel:
         for volume in range(1, volume_hi + 1):
             bases = list(enumerate_sublattices(n, volume))
             stack = np.array(bases, dtype=np.int64)
-            radii = np.array([covering_radius_pow(b, p) for b in bases])
+            radii = np.array(covering_radius_pow(bases, p))
             for s in sorted({0, *radii.tolist(), (volume // 2) ** p}):
                 for s_at in (s, successor(n, p, s)):
                     got = covering_verdicts(bases, p, s_at)
@@ -585,9 +586,7 @@ class TestCoveringCap:
     )
     def test_covering_radius_at_most_the_cap(self, n, p, volume_hi):
         for volume in range(1, volume_hi + 1):
-            radii = [
-                covering_radius_pow(b, p) for b in enumerate_sublattices(n, volume)
-            ]
+            radii = covering_radius_pow(list(enumerate_sublattices(n, volume)), p)
             assert max(radii) == (volume // 2) ** p, volume
 
 
@@ -740,11 +739,11 @@ class TestScheduler:
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("only forked workers see the patched analyze")
 
-        def fails_at_volume_one(basis, p):
-            if basis == ((1, 0), (0, 1)):
+        def fails_at_volume_one(bases, p):
+            if ((1, 0), (0, 1)) in bases:
                 time.sleep(0.2)  # so the other worker finishes its last run first
                 raise VerificationError("planted failure")
-            return analyze(basis, p)
+            return analyze_stack(bases, p)
 
         monkeypatch.setattr(lpcodes.search, "analyze", fails_at_volume_one)
         path = tmp_path / "failed.tsv"
@@ -902,21 +901,22 @@ class TestCheckpoint:
 
 
 class TestVerification:
-    """Re-proofs raise VerificationError, which `python -O` keeps."""
+    """Re-proofs raise VerificationError, which `python -O` keeps.
+    `search.analyze` is the stacked entry: one call per volume, over the
+    canonical forms of all its orbits."""
 
     def test_fast_path_hit_with_wrong_degree_raises(self, monkeypatch):
-        def wrong_t(basis, p):
-            a = analyze(basis, p)
-            return dataclasses.replace(a, t=a.t + 1)
+        def wrong_t(bases, p):
+            return [dataclasses.replace(a, t=a.t + 1) for a in analyze_stack(bases, p)]
 
         monkeypatch.setattr(lpcodes.search, "analyze", wrong_t)
         with pytest.raises(VerificationError, match="expected"):
             run_search(SearchQuery(2, 2, 1, 10))
 
     def test_ball_counts_not_bracketing_the_volume_raise(self, monkeypatch):
-        def wrong_mu(basis, p):
-            a = analyze(basis, p)
-            return dataclasses.replace(a, mu_r=a.det + 1)
+        def wrong_mu(bases, p):
+            analyses = analyze_stack(bases, p)
+            return [dataclasses.replace(a, mu_r=a.det + 1) for a in analyses]
 
         monkeypatch.setattr(lpcodes.search, "analyze", wrong_mu)
         with pytest.raises(VerificationError, match="mu_r"):
@@ -953,12 +953,44 @@ class TestVerification:
     def test_packing_radius_below_the_sieve_radius_raises(self, monkeypatch):
         # At volumes 21..30 (p=2) s_r >= 5, so r_min = pred(s_r) >= 4
         # under a cap of 2; a packing radius of 0 cannot pass the sieve.
-        def wrong_r(basis, p):
-            return dataclasses.replace(analyze(basis, p), r_pow=0)
+        def wrong_r(bases, p):
+            return [dataclasses.replace(a, r_pow=0) for a in analyze_stack(bases, p)]
 
         monkeypatch.setattr(lpcodes.search, "analyze", wrong_r)
         with pytest.raises(VerificationError, match="expected r >= "):
             run_search(SearchQuery(2, 2, 21, 30, t_max=2))
+
+    def test_a_fault_in_a_later_class_names_that_class(self, monkeypatch):
+        # Every class of a volume is re-proved, not only the first of the
+        # stack: a covering radius past s_cov in the second one raises.
+        second = []
+
+        def wrong_second_R(bases, p):
+            out = analyze_stack(bases, p)
+            if len(bases) > 1:
+                second.append(bases[1])
+                out[1] = dataclasses.replace(out[1], R_pow=out[1].R_pow + 10**6)
+            return out
+
+        monkeypatch.setattr(lpcodes.search, "analyze", wrong_second_R)
+        with pytest.raises(VerificationError, match="expected r >= ") as raised:
+            run_search(SearchQuery(2, 2, 1, 12, t_max=None))
+        assert second and f"of class {second[-1]} has" in str(raised.value)
+
+    def test_one_analysis_call_per_volume_with_an_orbit(self, monkeypatch):
+        stacks = []
+
+        def counted(bases, p):
+            stacks.append(list(bases))
+            return analyze_stack(bases, p)
+
+        monkeypatch.setattr(lpcodes.search, "analyze", counted)
+        # Uncapped, every orbit gives a record, so the stacks hold the hits.
+        report = run_search(SearchQuery(3, 2, 1, 16, t_max=None), jobs=1)
+        volumes = [hnf_det(bases[0]) for bases in stacks]
+        assert sorted(volumes) == sorted({a.det for _, a in report.hits})
+        assert sum(map(len, stacks)) == len(report.hits) > len(stacks)
+        assert all(len({hnf_det(b) for b in bases}) == 1 for bases in stacks)
 
 
 class TestDedupe:
